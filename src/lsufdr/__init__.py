@@ -31,6 +31,7 @@ from .crossing import (
     solve_tangency_normal,
     solve_tangency_t,
 )
+from .quadrature import QuadratureError
 from .asymptotics import (
     AsymptoticResult,
     ConditionalLimit,
@@ -66,6 +67,7 @@ __all__ = [
     "CrossingReport", "TangencySolution", "SolverError",
     "distance_normal", "critical_u_pair",
     "solve_tangency_normal", "solve_tangency_t", "crossing_report",
+    "QuadratureError",
     "AsymptoticResult", "ConditionalLimit", "LimitConstants",
     "conditional_limits", "g_distributions",
     "eer_fdr_normal", "eer_fdr_t", "limit_constants",

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun as sf
-from .crossing import crossing_report
+from .crossing import _bisect, crossing_report
 from .models import EXPONENTIAL, NORMAL, STUDENT_T, ModelSpec, \
     disturbance_cdf, gamma_at_zero, z_of_t
 from .quadrature import integrate
@@ -67,17 +67,7 @@ def _weight(model: ModelSpec, alpha: float, zeta: float, t: float) -> float:
         return 0.0 if zeta == 1.0 else 1.0
     if t >= t_upper:
         return 0.0
-    try:
-        z = z_of_t(model, t, alpha, zeta)
-    except ValueError:
-        return 0.0
-    return disturbance_cdf(model, z)
-
-
-def _check_model_for_quadrature(model: ModelSpec):
-    if model.family not in (NORMAL, STUDENT_T):
-        raise ValueError("quadrature formulas cover the normal and "
-                         "student_t families only")
+    return disturbance_cdf(model, z_of_t(model, t, alpha, zeta))
 
 
 def _eer_fdr(model: ModelSpec, alpha: float, zeta: float,
@@ -101,6 +91,8 @@ def _eer_fdr(model: ModelSpec, alpha: float, zeta: float,
     w_star = disturbance_cdf(model, rep.z_at_tangent) \
         if rep.z_at_tangent is not None else 0.0
     gap_t = (t2 - t1) / alpha * w_star if rep.has_tangent else 0.0
+    # four integrals share the tolerance, so their summed error meets it
+    tol = 0.25 * tol
     # one-ulp inversions happen when an endpoint collapses onto a limit
     lo1, hi1 = 1.0 - zeta, max(t1 / alpha, 1.0 - zeta)
     lo2, hi2 = min(t2 / alpha, upper_frac), upper_frac
@@ -178,15 +170,8 @@ def _largest_crossing(model: ModelSpec, alpha: float, zeta: float,
     b = b * (1.0 - 1e-15)
     if not a < b:
         return None
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        if z_of_t(model, mid, alpha, zeta) > z:
-            a = mid
-        else:
-            b = mid
-        if b - a <= 1e-15 * max(1.0, b):
-            break
-    return 0.5 * (a + b)
+    # z(t) - z is positive at the low end of the branch
+    return _bisect(lambda t: z_of_t(model, t, alpha, zeta) - z, a, b, fa=1.0)
 
 
 def conditional_limits(model: ModelSpec, alpha: float, zeta: float,

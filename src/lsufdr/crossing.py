@@ -134,14 +134,38 @@ def critical_u_pair(x0: float, zeta: float, alpha: float,
     return base + root, base - root
 
 
-def _scan_root(h, x_hi: float, x_lo: float, cells: int):
-    """First sign change of h scanning from x_hi downward.
+def _bisect(f, a: float, b: float, fa: float | None = None) -> float:
+    """Root of f in the bracket [a, b] across which f changes sign.
+
+    `fa` is f(a), or any value with its sign, when the caller knows it.
+    Halves the bracket until it is _BISECT_REL wide relative to its ends
+    and returns the midpoint, or a point where f is exactly zero.
+    """
+    if fa is None:
+        fa = f(a)
+    for _ in range(200):
+        mid = 0.5 * (a + b)
+        fm = f(mid)
+        if fm == 0.0:
+            return mid
+        if (fm > 0.0) == (fa > 0.0):
+            a, fa = mid, fm
+        else:
+            b = mid
+        if abs(b - a) <= _BISECT_REL * max(1.0, abs(a), abs(b)):
+            break
+    return 0.5 * (a + b)
+
+
+def _scan_root(h, x_start: float, x_end: float, cells: int):
+    """First sign change of h scanning from x_start toward x_end.
 
     Returns (root, x_at_min_abs_h); the root is None when h never
     changes sign over the scan window, in which case the second entry
-    locates the closest approach to zero.
+    locates the closest approach to zero.  Non-finite values of h are
+    skipped.
     """
-    xs = [x_hi - (x_hi - x_lo) * i / cells for i in range(cells + 1)]
+    xs = [x_start - (x_start - x_end) * i / cells for i in range(cells + 1)]
     bracket = None
     f_prev = math.nan
     x_prev = xs[0]
@@ -160,26 +184,11 @@ def _scan_root(h, x_hi: float, x_lo: float, cells: int):
         f_prev, x_prev = f, x
     if bracket is None:
         return None, best[1]
-    a, b = bracket
-    fa = h(a)
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        fm = h(mid)
-        if fm == 0.0:
-            return mid, mid
-        if (fm > 0.0) == (fa > 0.0):
-            a, fa = mid, fm
-        else:
-            b = mid
-        if abs(b - a) <= _BISECT_REL * max(1.0, abs(a), abs(b)):
-            break
-    root = 0.5 * (a + b)
+    root = _bisect(h, *bracket)
     return root, root
 
 
-def solve_tangency_normal(alpha: float, zeta: float, rho: float,
-                          scan_span: float = _SCAN_SPAN,
-                          cells: int = _SCAN_CELLS):
+def solve_tangency_normal(alpha: float, zeta: float, rho: float):
     """Tangent point of the normal-family mixed cdf, or None.
 
     Scans the disturbance coordinate downward from the stationary-point
@@ -204,7 +213,7 @@ def solve_tangency_normal(alpha: float, zeta: float, rho: float,
             return _dist_sign_zeta1(u2, x0, alpha, rho)
         return distance_normal(u2, x0, zeta, alpha, rho)
 
-    x_star, x_nearest = _scan_root(h, x_hi, x_hi - scan_span, cells)
+    x_star, x_nearest = _scan_root(h, x_hi, x_hi - _SCAN_SPAN, _SCAN_CELLS)
     if x_star is None:
         if zeta == 1.0:
             # the root can sit within rounding distance of the window
@@ -214,7 +223,7 @@ def solve_tangency_normal(alpha: float, zeta: float, rho: float,
             else:
                 raise SolverError(
                     "solve_tangency_normal: no tangent found for zeta=1 in "
-                    f"[{x_hi - scan_span}, {x_hi}] over {cells} cells "
+                    f"[{x_hi - _SCAN_SPAN}, {x_hi}] over {_SCAN_CELLS} cells "
                     f"(alpha={alpha}, rho={rho})")
         else:
             return None
@@ -223,9 +232,7 @@ def solve_tangency_normal(alpha: float, zeta: float, rho: float,
     return TangencySolution(u_star=u_star, z_star=x_star, t2=t2)
 
 
-def nearest_tangency_normal(alpha: float, zeta: float, rho: float,
-                            scan_span: float = _SCAN_SPAN,
-                            cells: int = _SCAN_CELLS) -> float:
+def nearest_tangency_normal(alpha: float, zeta: float, rho: float) -> float:
     """Location t of the closest approach to tangency (no-tangent case).
 
     Used as the formal common value t1 = t2 when the crossing set is a
@@ -243,7 +250,7 @@ def nearest_tangency_normal(alpha: float, zeta: float, rho: float,
             return math.nan
         return distance_normal(pair[1], x0, zeta, alpha, rho)
 
-    _, x_nearest = _scan_root(h, x_hi, x_hi - scan_span, cells)
+    _, x_nearest = _scan_root(h, x_hi, x_hi - _SCAN_SPAN, _SCAN_CELLS)
     pair = critical_u_pair(x_nearest, zeta, alpha, rho)
     if pair is None:
         return alpha * (1.0 - 0.5 * zeta)
@@ -272,8 +279,7 @@ def _t_gradient_residual(u: float, alpha: float, zeta: float,
             - 0.5 * math.log(2.0 * math.pi) - sf.t_logpdf(u, nu))
 
 
-def solve_tangency_t(alpha: float, zeta: float, nu: float,
-                     cells: int = _SCAN_CELLS):
+def solve_tangency_t(alpha: float, zeta: float, nu: float):
     """Tangent point of the t-family mixed cdf, or None.
 
     The first tangency equation is solved for s as a function of u and
@@ -294,27 +300,17 @@ def solve_tangency_t(alpha: float, zeta: float, nu: float,
         # r is -inf at the low end and grows without bound: bracket by
         # geometric expansion, then bisect.
         lo = u_lo * (1.0 + 1e-9) + 1e-12
-        f_lo = _t_gradient_residual(lo, alpha, zeta, nu)
         hi = max(2.0 * lo, 1.0)
         for _ in range(400):
-            f_hi = _t_gradient_residual(hi, alpha, zeta, nu)
-            if f_hi > 0.0:
+            if _t_gradient_residual(hi, alpha, zeta, nu) > 0.0:
                 break
-            lo, f_lo = hi, f_hi
+            lo = hi
             hi *= 1.5
         else:
             raise SolverError("solve_tangency_t: gradient residual never "
                               f"turned positive (alpha={alpha}, nu={nu})")
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            fm = _t_gradient_residual(mid, alpha, zeta, nu)
-            if fm > 0.0:
-                hi = mid
-            else:
-                lo = mid
-            if hi - lo <= _BISECT_REL * max(1.0, hi):
-                break
-        u_star = 0.5 * (lo + hi)
+        u_star = _bisect(lambda u: _t_gradient_residual(u, alpha, zeta, nu),
+                         lo, hi)
     else:
         t_lower = alpha * (1.0 - zeta)
         u_hi = sf.t_isf(t_lower, nu)
@@ -330,40 +326,16 @@ def solve_tangency_t(alpha: float, zeta: float, nu: float,
 
         # ascending scan: the first root is the tangency bounding the
         # upper crossing interval
-        found = None
-        f_prev = math.nan
-        u_prev = lo
-        for i in range(cells + 1):
-            u = min(lo + span * i / cells, hi)
-            f = r(u)
-            if not math.isfinite(f):
-                continue
-            if math.isfinite(f_prev) and (f > 0.0) != (f_prev > 0.0):
-                found = (u_prev, u)
-                break
-            f_prev, u_prev = f, u
-        if found is None:
+        u_star, _ = _scan_root(r, lo, hi, _SCAN_CELLS)
+        if u_star is None:
             return None
-        a, b = found
-        fa = r(a)
-        for _ in range(200):
-            mid = 0.5 * (a + b)
-            fm = r(mid)
-            if (fm > 0.0) == (fa > 0.0):
-                a, fa = mid, fm
-            else:
-                b = mid
-            if b - a <= _BISECT_REL * max(1.0, abs(b)):
-                break
-        u_star = 0.5 * (a + b)
 
     s_star = _t_elimination_s(u_star, alpha, zeta, nu)
     t2 = math.exp(sf.t_logsf(u_star, nu))
     return TangencySolution(u_star=u_star, z_star=s_star, t2=t2)
 
 
-def nearest_tangency_t(alpha: float, zeta: float, nu: float,
-                       cells: int = _SCAN_CELLS) -> float:
+def nearest_tangency_t(alpha: float, zeta: float, nu: float) -> float:
     """Location t of the closest approach to tangency for the t family."""
     alpha, zeta = _check_alpha_zeta(alpha, zeta)
     t_upper = alpha * (1.0 - 0.5 * zeta)
@@ -372,8 +344,8 @@ def nearest_tangency_t(alpha: float, zeta: float, nu: float,
     u_hi = sf.t_isf(t_lower, nu) if zeta < 1.0 else 4.0 * u_lo
     span = u_hi - u_lo
     best = (math.inf, 0.5 * (u_lo + u_hi))
-    for i in range(1, cells):
-        u = u_lo + span * i / cells
+    for i in range(1, _SCAN_CELLS):
+        u = u_lo + span * i / _SCAN_CELLS
         try:
             f = _t_gradient_residual(u, alpha, zeta, nu)
         except ValueError:
@@ -393,21 +365,12 @@ def _smaller_crossing_normal(sol: TangencySolution, alpha: float,
     def d(u: float) -> float:
         return distance_normal(u, sol.z_star, zeta, alpha, rho)
 
-    a, b = u1, u_max * (1.0 - 1e-12) if u_max > 0 else u_max + 1e-12
-    fa = d(a)
+    b = u_max * (1.0 - 1e-12) if u_max > 0 else u_max + 1e-12
+    fa = d(u1)
     if fa > 0.0:
         # degenerate tangency: no dip below the line
         return sol.t2
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        fm = d(mid)
-        if (fm > 0.0) == (fa > 0.0):
-            a, fa = mid, fm
-        else:
-            b = mid
-        if abs(b - a) <= _BISECT_REL * max(1.0, abs(a), abs(b)):
-            break
-    return sf.norm_sf(0.5 * (a + b))
+    return sf.norm_sf(_bisect(d, u1, b, fa))
 
 
 def _smaller_crossing_t(sol: TangencySolution, alpha: float, zeta: float,
@@ -420,28 +383,14 @@ def _smaller_crossing_t(sol: TangencySolution, alpha: float, zeta: float,
             - sf.t_sf(u, nu) / alpha
 
     # step off the tangent until the distance is negative
-    a = None
     for delta in (1e-8, 1e-6, 1e-4, 1e-3, 1e-2):
-        cand = sol.u_star * (1.0 + delta)
-        if cand >= u_max:
+        a = sol.u_star * (1.0 + delta)
+        if a >= u_max:
             break
-        if d(cand) < 0.0:
-            a = cand
-            break
-    if a is None:
-        return sol.t2
-    b = u_max * (1.0 - 1e-12)
-    fa = d(a)
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        fm = d(mid)
-        if (fm > 0.0) == (fa > 0.0):
-            a, fa = mid, fm
-        else:
-            b = mid
-        if abs(b - a) <= _BISECT_REL * max(1.0, abs(b)):
-            break
-    return sf.t_sf(0.5 * (a + b), nu)
+        fa = d(a)
+        if fa < 0.0:
+            return sf.t_sf(_bisect(d, a, u_max * (1.0 - 1e-12), fa), nu)
+    return sol.t2
 
 
 def crossing_report(model: ModelSpec, alpha: float,

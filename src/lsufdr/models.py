@@ -185,6 +185,19 @@ def gamma_at_zero(model: ModelSpec, z: float) -> float:
     return 0.0
 
 
+def _crossing_quantile(t: float, alpha: float, zeta: float) -> float:
+    """Phi_inv(q) for q = (1 - t/alpha)/zeta, inside the admissible window.
+
+    q rounds to 1 within about one ulp of t_lower = alpha*(1-zeta), so
+    the smaller of q and 1 - q = (t - t_lower)/(alpha*zeta) is formed
+    directly and passed to the upper-tail quantile.
+    """
+    p = (t - alpha * (1.0 - zeta)) / (alpha * zeta)
+    if p <= 0.5:
+        return sf.norm_isf(p)
+    return -sf.norm_isf((alpha - t) / (alpha * zeta))
+
+
 def z_of_t(model: ModelSpec, t: float, alpha: float, zeta: float) -> float:
     """Disturbance value whose mixed cdf meets t/alpha exactly at t.
 
@@ -204,15 +217,14 @@ def z_of_t(model: ModelSpec, t: float, alpha: float, zeta: float) -> float:
     if model.family == NORMAL:
         if not t_lower < t < alpha:
             raise ValueError(f"t={t} outside ({t_lower}, {alpha})")
-        q = (1.0 - t / alpha) / zeta
-        return math.sqrt(model.rho_bar / model.rho) * float(sf.Phi_inv(q)) \
+        return math.sqrt(model.rho_bar / model.rho) \
+            * _crossing_quantile(t, alpha, zeta) \
             - sf.norm_isf(t) / math.sqrt(model.rho)
     if model.family == STUDENT_T:
         t_upper = alpha * (1.0 - 0.5 * zeta)
         if not t_lower < t < t_upper:
             raise ValueError(f"t={t} outside ({t_lower}, {t_upper})")
-        q = (1.0 - t / alpha) / zeta
-        return float(sf.Phi_inv(q)) / sf.t_isf(t, model.nu)
+        return _crossing_quantile(t, alpha, zeta) / sf.t_isf(t, model.nu)
     # exponential: solve (1-zeta) + zeta*2*exp(-z)*t = t/alpha on the
     # linear stretch t <= 1/2
     if not t_lower < t < alpha or t > 0.5:

@@ -1,4 +1,13 @@
-"""Adaptive Gauss-Kronrod quadrature (7-15 pair).
+"""Globally adaptive Gauss-Kronrod quadrature (7-15 pair).
+
+The interval is covered by a list of panels, each with a GK15 value and
+error estimate.  The panel with the largest error is split in two until
+the summed estimate meets the requested absolute tolerance (QUADPACK's
+QAG strategy, Piessens et al. 1983).  Because the tolerance is global, a
+sliver whose whole contribution is below it is never refined for its
+own sake.  Panels narrower than 1e-15 relative are retired with their
+estimate, and a fixed evaluation budget bounds the work: exhausting it
+raises `QuadratureError` instead of returning an untrusted value.
 
 Endpoints are never evaluated, which matters here because the EER/FDR
 integrands have unbounded derivatives at interval ends.  `integrate`
@@ -8,10 +17,14 @@ panels up front.
 
 from __future__ import annotations
 
+import heapq
 import math
 from typing import Callable, Iterable
 
-__all__ = ["integrate", "QuadratureResult"]
+__all__ = ["integrate", "QuadratureError", "QuadratureResult"]
+
+# Integrand evaluations one `integrate` call may spend.
+_MAX_EVALS = 100_000
 
 # 15-point Kronrod nodes on [-1, 1] (nonnegative half) and weights,
 # with the embedded 7-point Gauss weights.
@@ -23,6 +36,10 @@ _WGK = (0.022935322010529, 0.063092092629979, 0.104790010322250,
         0.204432940075298, 0.209482141084728)
 _WG = (0.129484966168870, 0.279705391489277, 0.381830050505119,
        0.417959183673469)
+
+
+class QuadratureError(RuntimeError):
+    """The integral could not be computed to a trustworthy value."""
 
 
 class QuadratureResult(tuple):
@@ -71,24 +88,16 @@ def _gk15(f: Callable[[float], float], a: float, b: float):
     return resk, err
 
 
-def _adaptive(f, a, b, tol, depth):
-    val, err = _gk15(f, a, b)
-    if err <= tol or depth <= 0 or (b - a) < 1e-15 * max(1.0, abs(a), abs(b)):
-        return val, err
-    mid = 0.5 * (a + b)
-    v1, e1 = _adaptive(f, a, mid, 0.5 * tol, depth - 1)
-    v2, e2 = _adaptive(f, mid, b, 0.5 * tol, depth - 1)
-    return v1 + v2, e1 + e2
-
-
 def integrate(f: Callable[[float], float], a: float, b: float,
               tol: float = 1e-10,
-              points: Iterable[float] = (),
-              max_depth: int = 48) -> QuadratureResult:
+              points: Iterable[float] = ()) -> QuadratureResult:
     """Integrate f over [a, b] to absolute tolerance tol.
 
     `points` lists interior locations where the integrand has kinks or
-    singular derivatives; the interval is pre-split there.
+    singular derivatives; the interval is pre-split there.  The returned
+    error estimate exceeds tol only when every panel left has reached
+    the width floor.  Raises QuadratureError when the integrand is not
+    finite or the evaluation budget runs out first.
     """
     a = float(a)
     b = float(b)
@@ -96,14 +105,42 @@ def integrate(f: Callable[[float], float], a: float, b: float,
         raise ValueError("integrate requires a <= b")
     if a == b:
         return QuadratureResult(0.0, 0.0)
+
+    def panel(lo: float, hi: float):
+        val, err = _gk15(f, lo, hi)
+        if not (math.isfinite(val) and math.isfinite(err)):
+            raise QuadratureError("quadrature produced a non-finite value "
+                                  f"on [{lo!r}, {hi!r}]")
+        return -err, lo, hi, val
+
     cuts = sorted({a, b, *(float(p) for p in points if a < float(p) < b)})
-    total = 0.0
-    toterr = 0.0
-    ntol = tol / (len(cuts) - 1)
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        val, err = _adaptive(f, lo, hi, ntol, max_depth)
-        total += val
-        toterr += err
-    if not math.isfinite(total):
-        raise RuntimeError("quadrature produced a non-finite value")
-    return QuadratureResult(total, toterr)
+    heap = [panel(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
+    heapq.heapify(heap)
+    evals = 15 * len(heap)
+    retired = []
+    err_sum = -sum(p[0] for p in heap)
+    while heap:
+        if err_sum <= tol:
+            # the running sum carries rounding drift; confirm exactly
+            err_sum = math.fsum(-p[0] for p in heap + retired)
+            if err_sum <= tol:
+                break
+        worst = heapq.heappop(heap)
+        neg_err, lo, hi, _ = worst
+        if hi - lo < 1e-15 * max(1.0, abs(lo), abs(hi)):
+            retired.append(worst)
+            continue
+        if evals + 30 > _MAX_EVALS:
+            raise QuadratureError(
+                f"quadrature on [{a!r}, {b!r}] spent its budget of "
+                f"{_MAX_EVALS} evaluations with error estimate "
+                f"{err_sum:.3g} above tol={tol:.3g}")
+        mid = 0.5 * (lo + hi)
+        left, right = panel(lo, mid), panel(mid, hi)
+        evals += 30
+        heapq.heappush(heap, left)
+        heapq.heappush(heap, right)
+        err_sum += neg_err - left[0] - right[0]
+    panels = heap + retired
+    return QuadratureResult(math.fsum(p[3] for p in panels),
+                            math.fsum(-p[0] for p in panels))

@@ -125,15 +125,6 @@ def _dispatch(x, fn):
 # quadrature; plain math-module arithmetic is thirty times cheaper.
 
 
-def _erfcx_mid_s(y: float) -> float:
-    num = _ERF_C8 * y
-    den = y
-    for c, d in zip(_ERF_C, _ERF_D):
-        num = (num + c) * y
-        den = (den + d) * y
-    return (num + _ERF_C7) / (den + _ERF_D7)
-
-
 def _erfcx_large_s(y: float) -> float:
     z = 1.0 / (y * y)
     num = _ERF_P5 * z

@@ -220,6 +220,16 @@ class TestZofT:
         assert z_of_t(spec, t, alpha, zeta) \
             > z_of_t(spec, t + 1e-10, alpha, zeta)
 
+    def test_finite_one_ulp_above_lower_edge(self):
+        # (1 - t/alpha)/zeta rounds to 1 here; the quantile must come
+        # from 1 - q = (t - t_lower)/(alpha*zeta) instead
+        alpha, zeta = 0.05, 0.9
+        t = math.nextafter(alpha * (1 - zeta), 1.0)
+        for spec in (ModelSpec.normal(0.5), ModelSpec.student_t(1.0)):
+            z = z_of_t(spec, t, alpha, zeta)
+            assert math.isfinite(z)
+            assert z > z_of_t(spec, t + 1e-13, alpha, zeta)
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             z_of_t(NORMAL, 0.05, 0.05, 0.5)  # t = alpha excluded

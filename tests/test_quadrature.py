@@ -1,8 +1,11 @@
+import json
 import math
 
 import pytest
 
-from lsufdr.quadrature import integrate
+from lsufdr import quadrature
+from lsufdr.cli import main
+from lsufdr.quadrature import QuadratureError, integrate
 
 
 class TestIntegrate:
@@ -47,3 +50,43 @@ class TestIntegrate:
     def test_points_outside_ignored(self):
         val, _ = integrate(lambda x: x, 0.0, 1.0, points=[-1.0, 2.0, 0.5])
         assert val == pytest.approx(0.5, abs=1e-13)
+
+    def test_boundary_layer_meets_global_tolerance(self):
+        # climbs from 0 with unbounded slope, like the studentized weight
+        # at t_lower; a tolerance halved at each level of subdivision
+        # would refine the panels at 0 to the depth limit (1455 calls)
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return 1.0 / math.sqrt(1.0 - math.log(x))
+
+        tol = 1e-10
+        val, err = integrate(f, 0.0, 1.0, tol=tol)
+        exact = math.e * math.sqrt(math.pi) * math.erfc(1.0)
+        assert err <= tol
+        assert abs(val - exact) <= tol
+        assert len(calls) < 1000
+
+    def test_budget_exhaustion_raises(self):
+        with pytest.raises(QuadratureError, match="budget"):
+            integrate(lambda x: math.sin(1e6 * x), 0.0, 1.0, tol=1e-12)
+
+    def test_non_finite_integrand_raises(self):
+        with pytest.raises(QuadratureError):
+            integrate(lambda x: math.inf, 0.0, 1.0)
+
+
+def test_curve_records_quadrature_error(tmp_path, monkeypatch, capsys):
+    # a budget of one panel leaves no room to split, so the first limit
+    # integral that needs a split fails
+    monkeypatch.setattr(quadrature, "_MAX_EVALS", 15)
+    out = tmp_path / "curve.json"
+    code = main(["curve", "--model", "normal", "--alpha", "0.05",
+                 "--zeta", "0.5", "--rho-grid", "0.5:0.5:1",
+                 "--format", "json", "--out", str(out)])
+    rows = json.loads(out.read_text(encoding="utf-8"))
+    assert code == 2
+    assert len(rows) == 1
+    assert rows[0]["status"].startswith("error: ")
+    assert "budget" in rows[0]["status"]
