@@ -30,8 +30,6 @@ __all__ = [
     "critical_u_pair",
     "solve_tangency_normal",
     "solve_tangency_t",
-    "nearest_tangency_normal",
-    "nearest_tangency_t",
     "crossing_report",
 ]
 
@@ -197,6 +195,12 @@ def solve_tangency_normal(alpha: float, zeta: float, rho: float):
     exists; for zeta < 1 absence of a sign change means the crossing
     set is a single interval and None is returned.
     """
+    return _tangency_normal(alpha, zeta, rho)[0]
+
+
+def _tangency_normal(alpha: float, zeta: float, rho: float):
+    """(solution, None), or (None, t of the closest approach) when the
+    scan finds no tangent."""
     alpha, zeta = _check_alpha_zeta(alpha, zeta)
     if not 0.0 < rho < 1.0:
         raise ValueError("rho must lie strictly between 0 and 1")
@@ -226,35 +230,13 @@ def solve_tangency_normal(alpha: float, zeta: float, rho: float):
                     f"[{x_hi - _SCAN_SPAN}, {x_hi}] over {_SCAN_CELLS} cells "
                     f"(alpha={alpha}, rho={rho})")
         else:
-            return None
+            pair = critical_u_pair(x_nearest, zeta, alpha, rho)
+            if pair is None:
+                return None, alpha * (1.0 - 0.5 * zeta)
+            return None, sf.norm_sf(pair[1])
     u_star = critical_u_pair(x_star, zeta, alpha, rho)[1]
     t2 = math.exp(sf.norm_logsf(u_star)) if u_star > 0 else sf.norm_sf(u_star)
-    return TangencySolution(u_star=u_star, z_star=x_star, t2=t2)
-
-
-def nearest_tangency_normal(alpha: float, zeta: float, rho: float) -> float:
-    """Location t of the closest approach to tangency (no-tangent case).
-
-    Used as the formal common value t1 = t2 when the crossing set is a
-    single interval, so reported endpoints move continuously through
-    the tangent birth as the dependence parameter varies.
-    """
-    alpha, zeta = _check_alpha_zeta(alpha, zeta)
-    rb = 1.0 - rho
-    ell = math.log(math.sqrt(rb) / (alpha * zeta))
-    x_hi = -math.sqrt(2.0 * ell) if ell >= 0.0 else 40.0
-
-    def h(x0: float) -> float:
-        pair = critical_u_pair(x0, zeta, alpha, rho)
-        if pair is None:
-            return math.nan
-        return distance_normal(pair[1], x0, zeta, alpha, rho)
-
-    _, x_nearest = _scan_root(h, x_hi, x_hi - _SCAN_SPAN, _SCAN_CELLS)
-    pair = critical_u_pair(x_nearest, zeta, alpha, rho)
-    if pair is None:
-        return alpha * (1.0 - 0.5 * zeta)
-    return sf.norm_sf(pair[1])
+    return TangencySolution(u_star=u_star, z_star=x_star, t2=t2), None
 
 
 def _t_elimination_s(u: float, alpha: float, zeta: float, nu: float) -> float:
@@ -288,6 +270,12 @@ def solve_tangency_t(alpha: float, zeta: float, nu: float):
     pair alpha*Phi(-s u) = F_t(-u), s*alpha*phi(s u) = f_t(u) when
     zeta = 1.
     """
+    return _tangency_t(alpha, zeta, nu)[0]
+
+
+def _tangency_t(alpha: float, zeta: float, nu: float):
+    """(solution, None), or (None, t of the closest approach) when the
+    scan finds no tangent."""
     alpha, zeta = _check_alpha_zeta(alpha, zeta)
     if alpha > 0.5:
         raise ValueError("the t-family analysis requires alpha <= 1/2")
@@ -326,33 +314,13 @@ def solve_tangency_t(alpha: float, zeta: float, nu: float):
 
         # ascending scan: the first root is the tangency bounding the
         # upper crossing interval
-        u_star, _ = _scan_root(r, lo, hi, _SCAN_CELLS)
+        u_star, u_nearest = _scan_root(r, lo, hi, _SCAN_CELLS)
         if u_star is None:
-            return None
+            return None, sf.t_sf(u_nearest, nu)
 
     s_star = _t_elimination_s(u_star, alpha, zeta, nu)
     t2 = math.exp(sf.t_logsf(u_star, nu))
-    return TangencySolution(u_star=u_star, z_star=s_star, t2=t2)
-
-
-def nearest_tangency_t(alpha: float, zeta: float, nu: float) -> float:
-    """Location t of the closest approach to tangency for the t family."""
-    alpha, zeta = _check_alpha_zeta(alpha, zeta)
-    t_upper = alpha * (1.0 - 0.5 * zeta)
-    t_lower = alpha * (1.0 - zeta)
-    u_lo = sf.t_isf(t_upper, nu)
-    u_hi = sf.t_isf(t_lower, nu) if zeta < 1.0 else 4.0 * u_lo
-    span = u_hi - u_lo
-    best = (math.inf, 0.5 * (u_lo + u_hi))
-    for i in range(1, _SCAN_CELLS):
-        u = u_lo + span * i / _SCAN_CELLS
-        try:
-            f = _t_gradient_residual(u, alpha, zeta, nu)
-        except ValueError:
-            continue
-        if math.isfinite(f) and abs(f) < best[0]:
-            best = (abs(f), u)
-    return sf.t_sf(best[1], nu)
+    return TangencySolution(u_star=u_star, z_star=s_star, t2=t2), None
 
 
 def _smaller_crossing_normal(sol: TangencySolution, alpha: float,
@@ -407,10 +375,10 @@ def crossing_report(model: ModelSpec, alpha: float,
     t_lower = alpha * (1.0 - zeta)
     if model.family == NORMAL:
         t_upper = alpha
-        sol = solve_tangency_normal(alpha, zeta, model.rho)
+        sol, near = _tangency_normal(alpha, zeta, model.rho)
     else:
         t_upper = alpha * (1.0 - 0.5 * zeta)
-        sol = solve_tangency_t(alpha, zeta, model.nu)
+        sol, near = _tangency_t(alpha, zeta, model.nu)
 
     if zeta == 1.0:
         if sol is None:
@@ -422,10 +390,8 @@ def crossing_report(model: ModelSpec, alpha: float,
             z_at_tangent=sol.z_star, t_lower=0.0, t_upper=t_upper)
 
     if sol is None:
-        if model.family == NORMAL:
-            near = nearest_tangency_normal(alpha, zeta, model.rho)
-        else:
-            near = nearest_tangency_t(alpha, zeta, model.nu)
+        # the closest approach to tangency stands in for t1 = t2, so the
+        # endpoints move continuously through the tangent birth
         near = min(max(near, t_lower), t_upper)
         return CrossingReport(
             t1=near, t2=near, has_tangent=False,

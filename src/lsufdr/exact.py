@@ -5,7 +5,9 @@ FDR equals (n0/n)*gamma*alpha exactly, for every n and regardless of
 what the remaining p-values do.  When linearity only holds on a
 shorter range [0, t*], the identity picks up the probability that the
 leave-one-out order statistics stay above their critical values, which
-this module evaluates exactly by a counting recursion.
+this module evaluates exactly by a counting recursion: a numpy
+vector-matrix product per bound level, with binomial transition
+matrices built from one log-factorial table.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+
+from .stepup import _stepup_count
 
 __all__ = [
     "LinearNullSpec",
@@ -80,27 +84,6 @@ def exact_fdr_linear(spec: LinearNullSpec, alpha: float) -> float:
     return spec.n0 / spec.n * spec.gamma * alpha
 
 
-def _kahan_add(total: float, comp: float, term: float):
-    y = term - comp
-    t = total + y
-    comp = (t - total) - y
-    return t, comp
-
-
-def _log_choose(n: int, k: int) -> float:
-    return (math.lgamma(n + 1.0) - math.lgamma(k + 1.0)
-            - math.lgamma(n - k + 1.0))
-
-
-def _binom_pmf(k: int, n: int, p: float) -> float:
-    if p <= 0.0:
-        return 1.0 if k == 0 else 0.0
-    if p >= 1.0:
-        return 1.0 if k == n else 0.0
-    return math.exp(_log_choose(n, k) + k * math.log(p)
-                    + (n - k) * math.log1p(-p))
-
-
 def boundary_noncrossing_prob(spec: BoundarySpec,
                               null_cdf: Callable[[float], float]) -> float:
     """P(all constrained order statistics exceed their bounds).
@@ -108,9 +91,13 @@ def boundary_noncrossing_prob(spec: BoundarySpec,
     With m i.i.d. draws from null_cdf and bounds b_j attached to the
     order statistics j = m-len(bounds)+1, ..., m, the event is
     equivalent to N(b_j) < j for every constrained j, where N counts
-    draws at or below a level.  The counting recursion walks the bound
-    levels left to right, carrying the distribution of the running
-    count, with compensated summation in the convolution.
+    draws at or below a level.  The counting recursion (Noe 1972; Steck
+    1971) walks the bound levels left to right, carrying the
+    distribution of the running count: given i draws at or below the
+    previous level, each of the m - i others falls below the next one
+    with the conditional probability p, so one level is a product with
+    the upper-triangular binomial matrix T[i, j] = P(Bin(m-i, p) = j-i),
+    cut to the counts the bound allows.
     """
     m = spec.m
     if m > _EXACT_M_LIMIT:
@@ -120,32 +107,34 @@ def boundary_noncrossing_prob(spec: BoundarySpec,
         return 1.0
     j0 = m - len(bounds) + 1
     levels = [min(max(float(null_cdf(b)), 0.0), 1.0) for b in bounds]
-    caps = [j - 1 for j in range(j0, m + 1)]  # N(level_k) <= caps[k]
 
-    # distribution of N(level_0) restricted to the allowed counts
-    beta_prev = levels[0]
-    weights = [_binom_pmf(i, m, beta_prev) for i in range(caps[0] + 1)]
-    for k in range(1, len(levels)):
-        beta = levels[k]
-        if beta < beta_prev:
-            beta = beta_prev  # guard against cdf rounding
-        cond = 0.0 if beta_prev >= 1.0 \
+    # log C(m-i, j-i) for j >= i, from one lgamma table; -inf below
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(m + 1)])
+    counts = np.arange(m + 1)
+    step = counts - counts[:, None]  # j - i
+    rest = m - counts  # m - j
+    log_choose = np.where(step >= 0, log_fact[rest[:, None]]
+                          - log_fact[np.maximum(step, 0)] - log_fact[rest],
+                          -np.inf)
+
+    weights = np.ones(1)  # at cdf level 0 the count is 0
+    beta_prev = 0.0
+    for k, beta in enumerate(levels):
+        beta = max(beta, beta_prev)  # guard against cdf rounding
+        p = 0.0 if beta_prev >= 1.0 \
             else (beta - beta_prev) / (1.0 - beta_prev)
-        cap = caps[k]
-        new = [0.0] * (cap + 1)
-        comp = [0.0] * (cap + 1)
-        for i, wi in enumerate(weights):
-            if wi == 0.0:
-                continue
-            for j in range(i, cap + 1):
-                term = wi * _binom_pmf(j - i, m - i, cond)
-                new[j], comp[j] = _kahan_add(new[j], comp[j], term)
-        weights = new
+        rows, cols = weights.size, j0 + k  # N(level_k) <= j0 + k - 1
+        if p <= 0.0:
+            trans = np.eye(rows, cols)
+        elif p >= 1.0:
+            trans = np.zeros((rows, cols))  # all m draws, above every cap
+        else:
+            trans = np.exp(log_choose[:rows, :cols]
+                           + step[:rows, :cols] * math.log(p)
+                           + rest[:cols] * math.log1p(-p))
+        weights = weights @ trans
         beta_prev = beta
-    total, comp = 0.0, 0.0
-    for w in weights:
-        total, comp = _kahan_add(total, comp, w)
-    return min(max(total, 0.0), 1.0)
+    return min(max(math.fsum(weights), 0.0), 1.0)
 
 
 def _linear_null_quantile(u: np.ndarray, gamma: float,
@@ -212,29 +201,21 @@ def restricted_fdr_check(spec: LinearNullSpec, alpha: float,
     # Monte Carlo side
     rng = np.random.Generator(np.random.Philox(
         np.random.SeedSequence(entropy=(int(seed), 811))))
-    crit_all = alpha * np.arange(1, n + 1) / n
-    total = 0.0
-    comp = 0.0
+    chunk_sums = []
     chunk = max(1, min(200_000 // max(n, 1), replicates))
     done = 0
     while done < replicates:
         b = min(chunk, replicates - done)
         u = rng.random((b, n0))
         nulls = _linear_null_quantile(u, gamma, t_star)
-        if n1:
-            mat = np.concatenate([nulls, np.zeros((b, n1))], axis=1)
-        else:
-            mat = nulls
-        mat.sort(axis=1)
-        ok = mat <= crit_all
-        any_ok = ok.any(axis=1)
-        last = n - 1 - np.argmax(ok[:, ::-1], axis=1)
-        rn = np.where(any_ok, last + 1, 0)
+        block = np.concatenate([nulls, np.zeros((b, n1))], axis=1) \
+            if n1 else nulls
+        rn = _stepup_count(block, alpha)
         thr = np.where(rn > 0, rn * alpha / n, -1.0)
         v = (nulls <= thr[:, None]).sum(axis=1)
         fdp = np.where(rn > 0, v / np.maximum(rn, 1), 0.0)
         fdp = np.where(rn <= r, fdp, 0.0)
-        total, comp = _kahan_add(total, comp, float(fdp.sum()))
+        chunk_sums.append(float(fdp.sum()))
         done += b
-    lhs = total / replicates
+    lhs = math.fsum(chunk_sums) / replicates
     return lhs, rhs

@@ -15,6 +15,7 @@ global state, so concurrent use is safe.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -460,38 +461,6 @@ def _betacf(a: float, b: float, x: float) -> float:
                        f"(a={a}, b={b}, x={x})")
 
 
-def _log_beta_prefactor(a: float, b: float, x: float) -> float:
-    return (math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-            + a * math.log(x) + b * math.log1p(-x))
-
-
-def betainc_reg(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta function I_x(a, b)."""
-    if a <= 0.0 or b <= 0.0:
-        raise ValueError("betainc_reg requires a, b > 0")
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    front = math.exp(_log_beta_prefactor(a, b, x))
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - math.exp(_log_beta_prefactor(b, a, 1.0 - x)) \
-        * _betacf(b, a, 1.0 - x) / b
-
-
-def log_betainc_reg(a: float, b: float, x: float) -> float:
-    """log I_x(a, b), stable when the value underflows."""
-    if x <= 0.0:
-        return -math.inf
-    if x >= 1.0:
-        return 0.0
-    if x < (a + 1.0) / (a + b + 2.0):
-        return _log_beta_prefactor(a, b, x) + math.log(_betacf(a, b, x) / a)
-    tail = math.exp(_log_beta_prefactor(b, a, 1.0 - x)) * _betacf(b, a, 1.0 - x) / b
-    return math.log1p(-tail) if tail < 1.0 else -math.inf
-
-
 def _check_nu(nu: float) -> float:
     nu = float(nu)
     if not nu > 0.0:
@@ -505,12 +474,45 @@ def t_pdf(x: float, nu: float) -> float:
     return math.exp(t_logpdf(x, nu))
 
 
+def _t_log_w(x: float, nu: float):
+    """(log w, log(1 - w)) with w = nu/(nu + x^2), for x != 0.
+
+    Formed from y = |x|/sqrt(nu) without squaring x, which overflows
+    past about 1.3e154.
+    """
+    y = abs(x) / math.sqrt(nu)
+    if y <= 1.0:
+        log_w = -math.log1p(y * y)
+        return log_w, log_w + 2.0 * math.log(y)
+    log_1mw = -math.log1p((1.0 / y) ** 2)
+    return log_1mw - 2.0 * math.log(y), log_1mw
+
+
 def t_logpdf(x: float, nu: float) -> float:
     """Log of the Student-t density."""
     nu = _check_nu(nu)
+    x = float(x)
+    log_w = _t_log_w(x, nu)[0] if x != 0.0 else 0.0
     return (math.lgamma(0.5 * (nu + 1.0)) - math.lgamma(0.5 * nu)
-            - 0.5 * math.log(nu * math.pi)
-            - 0.5 * (nu + 1.0) * math.log1p(x * x / nu))
+            - 0.5 * math.log(nu * math.pi) + 0.5 * (nu + 1.0) * log_w)
+
+
+def _t_log_tail(x: float, nu: float) -> float:
+    """log P(T > |x|) = log(I_w(nu/2, 1/2) / 2) for x != 0.
+
+    I_w is the regularized incomplete beta function at
+    w = nu/(nu + x^2), evaluated by its continued fraction directly or
+    through the complement I_w(a, b) = 1 - I_(1-w)(b, a).
+    """
+    a, b = 0.5 * nu, 0.5
+    log_w, log_1mw = _t_log_w(x, nu)
+    log_front = (math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+                 + a * log_w + b * log_1mw)
+    w = math.exp(log_w)
+    if w < (a + 1.0) / (a + b + 2.0):
+        return math.log(0.5) + log_front + math.log(_betacf(a, b, w) / a)
+    tail = math.exp(log_front) * _betacf(b, a, math.exp(log_1mw)) / b
+    return math.log(0.5) + math.log1p(-tail) if tail < 1.0 else -math.inf
 
 
 def t_cdf(x: float, nu: float) -> float:
@@ -519,8 +521,7 @@ def t_cdf(x: float, nu: float) -> float:
     x = float(x)
     if x == 0.0:
         return 0.5
-    w = nu / (nu + x * x)
-    tail = 0.5 * betainc_reg(0.5 * nu, 0.5, w)
+    tail = math.exp(_t_log_tail(x, nu))
     return tail if x < 0.0 else 1.0 - tail
 
 
@@ -535,8 +536,7 @@ def t_logsf(x: float, nu: float) -> float:
     x = float(x)
     if x <= 0.0:
         return math.log(t_cdf(-x, nu))
-    w = nu / (nu + x * x)
-    return math.log(0.5) + log_betainc_reg(0.5 * nu, 0.5, w)
+    return _t_log_tail(x, nu)
 
 
 def _t_tail_quantile(q: float, nu: float) -> float:
@@ -548,7 +548,9 @@ def _t_tail_quantile(q: float, nu: float) -> float:
     for _ in range(600):
         if t_sf(hi, nu) <= q:
             break
-        lo, hi = hi, hi * 4.0
+        if hi == sys.float_info.max:
+            return math.inf  # the quantile lies past the double range
+        lo, hi = hi, min(hi * 4.0, sys.float_info.max)
     else:
         raise RuntimeError("t_quantile failed to bracket")
     x = min(max(x, lo), hi)

@@ -75,25 +75,34 @@ def _result(sample: PValueSample, m: int, alpha: float) -> RejectionResult:
     return RejectionResult(m=m, v=v, threshold=threshold, fdp=v / m)
 
 
+def _passes(pvalues, alpha: float) -> np.ndarray:
+    """Pass/fail matrix p_(i) <= i*alpha/n of the sorted last axis."""
+    ps = np.sort(pvalues, axis=-1)
+    n = ps.shape[-1]
+    return ps <= alpha * np.arange(1, n + 1) / n
+
+
+def _stepup_count(pvalues, alpha: float) -> np.ndarray:
+    """Step-up rejection count of each row: its last passing rank, or 0.
+
+    The p-values lie on the last axis (one vector or a block of rows).
+    """
+    ok = _passes(pvalues, alpha)
+    last = ok.shape[-1] - np.argmax(ok[..., ::-1], axis=-1)
+    return last * ok.any(axis=-1)
+
+
 def lsu(sample: PValueSample, alpha: float) -> RejectionResult:
     """Linear step-up procedure with critical values i*alpha/n."""
     alpha = _check_alpha(alpha)
-    n = sample.n
-    ps = np.sort(sample.pvalues, kind="stable")
-    crit = alpha * np.arange(1, n + 1) / n
-    passing = np.nonzero(ps <= crit)[0]
-    m = int(passing[-1]) + 1 if passing.size else 0
-    return _result(sample, m, alpha)
+    return _result(sample, int(_stepup_count(sample.pvalues, alpha)), alpha)
 
 
 def lsd(sample: PValueSample, alpha: float) -> RejectionResult:
     """Linear step-down procedure; rejects no more than lsu."""
     alpha = _check_alpha(alpha)
-    n = sample.n
-    ps = np.sort(sample.pvalues, kind="stable")
-    crit = alpha * np.arange(1, n + 1) / n
-    ok = ps <= crit
-    r = n if bool(ok.all()) else int(np.argmin(ok))
+    ok = _passes(sample.pvalues, alpha)
+    r = sample.n if bool(ok.all()) else int(np.argmin(ok))
     return _result(sample, r, alpha)
 
 

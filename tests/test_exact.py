@@ -129,6 +129,27 @@ class TestBoundaryNoncrossing:
             BoundarySpec(m=5, lower_bounds=[0.3, 0.4]), lambda t: t)
         assert tighter <= base
 
+    @pytest.mark.parametrize("m", [1, 20, 200])
+    @pytest.mark.parametrize("c", [0.3, 0.9])
+    def test_daniels_linear_bounds(self, m, c):
+        # Daniels (1945): P(U_(j) > c*j/m for every j) = 1 - c
+        spec = BoundarySpec(m=m, lower_bounds=[c * j / m
+                                               for j in range(1, m + 1)])
+        got = boundary_noncrossing_prob(spec, lambda t: t)
+        assert abs(got - (1.0 - c)) < 1e-11
+
+    def test_levels_at_zero_and_one(self):
+        def cdf(t):
+            return min(max(2.0 * t - 0.2, 0.0), 1.0)
+
+        # levels (0, 0, 0.5): only the maximum is constrained in effect
+        spec = BoundarySpec(m=5, lower_bounds=[0.05, 0.1, 0.35])
+        assert boundary_noncrossing_prob(spec, cdf) \
+            == pytest.approx(1.0 - 0.5 ** 5, abs=1e-15)
+        # levels (0, 0.5, 1): every draw lies below the last bound
+        spec = BoundarySpec(m=5, lower_bounds=[0.05, 0.35, 0.6])
+        assert boundary_noncrossing_prob(spec, cdf) == 0.0
+
     def test_exactness_window(self):
         with pytest.raises(ValueError):
             boundary_noncrossing_prob(

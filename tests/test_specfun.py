@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -163,6 +164,53 @@ class TestStudentT:
         val, _ = integrate(lambda x: sf.t_pdf(x, 3.5), -60.0, 60.0, tol=1e-10)
         expected = sf.t_cdf(60.0, 3.5) - sf.t_cdf(-60.0, 3.5)
         assert abs(val - expected) < 1e-9
+
+
+class TestStudentTMpmathOracle:
+    # Relative tolerances: a tail near 1e-300 passes through exp of a
+    # log of size ~700, which costs ~700 ulp; the quantile is solved to
+    # 1e-13 relative in x, which moves the tail by nu times that.
+    SF_RTOL = 1e-12
+    ISF_RTOL = 1e-11
+    NUS = (0.5, 1.0, 5.0)
+
+    @pytest.fixture(scope="class")
+    def mp(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            yield mpmath
+
+    @staticmethod
+    def mp_sf(mp, x, nu):
+        x, nu = mp.mpf(x), mp.mpf(nu)
+        upper = mp.betainc(nu / 2, mp.mpf(1) / 2, 0, nu / (nu + x * x),
+                           regularized=True) / 2
+        return upper if x >= 0 else 1 - upper
+
+    def test_sf(self, mp):
+        xs = np.concatenate([np.linspace(-5.0, 5.0, 21),
+                             np.logspace(0.0, 300.0, 31)])
+        for nu in self.NUS:
+            for x in xs:
+                ref = self.mp_sf(mp, float(x), nu)
+                if ref < mp.mpf("1e-300"):
+                    continue
+                got = sf.t_sf(float(x), nu)
+                assert abs(got / float(ref) - 1.0) < self.SF_RTOL, (nu, x)
+
+    def test_isf(self, mp):
+        # x*x overflows past 1.3e154, which q below about 1e-78 needs at
+        # nu = 0.5; past the double range the quantile is inf
+        for nu in self.NUS:
+            beyond = self.mp_sf(mp, sys.float_info.max, nu)
+            for q in (0.3, 1e-5, 1e-50, 1e-78, 1e-80, 1e-100, 1e-154,
+                      1e-200, 1e-300):
+                x = sf.t_isf(q, nu)
+                if q < beyond:
+                    assert x == math.inf, (nu, q, x)
+                else:
+                    tail = float(self.mp_sf(mp, x, nu))
+                    assert abs(tail / q - 1.0) < self.ISF_RTOL, (nu, q, x)
 
 
 class TestChi:

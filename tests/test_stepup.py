@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lsufdr.stepup import PValueSample, ecdf, lsd, lsu
+from lsufdr.stepup import PValueSample, _stepup_count, ecdf, lsd, lsu
 
 
 def make_sample(pvalues, nulls=None):
@@ -145,6 +145,47 @@ class TestLsd:
     def test_all_pass(self):
         s = make_sample([0.0, 0.01])
         assert lsd(s, 0.2).m == 2
+
+
+def reference_counts(pv, alpha):
+    # the step-up and step-down rules written out rank by rank
+    n = len(pv)
+    ps = sorted(pv)
+    passes = [ps[i] <= alpha * (i + 1) / n for i in range(n)]
+    up = max((i + 1 for i in range(n) if passes[i]), default=0)
+    down = 0
+    while down < n and passes[down]:
+        down += 1
+    return up, down
+
+
+class TestStepupKernel:
+    def test_block_rows_match_lsu_and_lsd(self):
+        rng = np.random.default_rng(21)
+        alpha, n = 0.2, 30
+        crit = alpha * np.arange(1, n + 1) / n
+        block = rng.random((120, n)) ** rng.uniform(0.3, 4.0, (120, 1))
+        # ties exactly at i*alpha/n: critical values at random ranks
+        block[:40] = crit[rng.integers(0, n, (40, n))]
+        block[40] = crit  # every p-value passes, each as a tie
+        block[41] = rng.permutation(crit) * 0.5  # every p-value passes
+        block[42] = 0.9  # none passes
+        block[43] = crit + 1e-12  # none passes, each just above
+        counts = _stepup_count(block, alpha)
+        assert (counts[40], counts[41], counts[42], counts[43]) == (n, n, 0, 0)
+        for row, count in zip(block, counts):
+            s = make_sample(row)
+            up, down = reference_counts(list(row), alpha)
+            assert count == up == lsu(s, alpha).m
+            assert lsd(s, alpha).m == down
+
+    def test_one_dimensional_input(self):
+        rng = np.random.default_rng(22)
+        for _ in range(50):
+            pv = rng.random(int(rng.integers(1, 40))) ** 3
+            count = _stepup_count(pv, 0.1)
+            assert count.shape == ()
+            assert count == reference_counts(list(pv), 0.1)[0]
 
 
 class TestEcdf:
