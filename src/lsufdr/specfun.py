@@ -478,14 +478,16 @@ def _t_log_w(x: float, nu: float):
     """(log w, log(1 - w)) with w = nu/(nu + x^2), for x != 0.
 
     Formed from y = |x|/sqrt(nu) without squaring x, which overflows
-    past about 1.3e154.
+    past about 1.3e154; for y > 1 only log y and 1/y are formed, since
+    y itself overflows near the top of the double range when nu < 1.
     """
-    y = abs(x) / math.sqrt(nu)
-    if y <= 1.0:
+    if abs(x) <= math.sqrt(nu):
+        y = abs(x) / math.sqrt(nu)
         log_w = -math.log1p(y * y)
         return log_w, log_w + 2.0 * math.log(y)
-    log_1mw = -math.log1p((1.0 / y) ** 2)
-    return log_1mw - 2.0 * math.log(y), log_1mw
+    log_y = math.log(abs(x)) - 0.5 * math.log(nu)
+    log_1mw = -math.log1p((math.sqrt(nu) / abs(x)) ** 2)
+    return log_1mw - 2.0 * log_y, log_1mw
 
 
 def t_logpdf(x: float, nu: float) -> float:
@@ -561,9 +563,9 @@ def _t_tail_quantile(q: float, nu: float) -> float:
         else:
             hi = x
         dens = t_pdf(x, nu)
-        x_new = x + f / dens if dens > 0.0 else 0.5 * (lo + hi)
+        x_new = x + f / dens if dens > 0.0 else 0.5 * lo + 0.5 * hi
         if not lo < x_new < hi:
-            x_new = 0.5 * (lo + hi)
+            x_new = 0.5 * lo + 0.5 * hi  # lo + hi may overflow
         if abs(x_new - x) <= 1e-13 * max(1.0, abs(x_new)):
             return x_new
         x = x_new

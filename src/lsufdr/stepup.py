@@ -88,8 +88,7 @@ def _stepup_count(pvalues, alpha: float) -> np.ndarray:
     The p-values lie on the last axis (one vector or a block of rows).
     """
     ok = _passes(pvalues, alpha)
-    last = ok.shape[-1] - np.argmax(ok[..., ::-1], axis=-1)
-    return last * ok.any(axis=-1)
+    return (ok * np.arange(1, ok.shape[-1] + 1)).max(axis=-1)
 
 
 def lsu(sample: PValueSample, alpha: float) -> RejectionResult:

@@ -188,8 +188,10 @@ class TestStudentTMpmathOracle:
         return upper if x >= 0 else 1 - upper
 
     def test_sf(self, mp):
+        # |x|/sqrt(nu) overflows above about 1.27e308 at nu = 0.5
         xs = np.concatenate([np.linspace(-5.0, 5.0, 21),
-                             np.logspace(0.0, 300.0, 31)])
+                             np.logspace(0.0, 300.0, 31),
+                             [1.3e308, sys.float_info.max]])
         for nu in self.NUS:
             for x in xs:
                 ref = self.mp_sf(mp, float(x), nu)
@@ -200,11 +202,12 @@ class TestStudentTMpmathOracle:
 
     def test_isf(self, mp):
         # x*x overflows past 1.3e154, which q below about 1e-78 needs at
-        # nu = 0.5; past the double range the quantile is inf
+        # nu = 0.5; past the double range the quantile is inf.  At
+        # nu = 0.5, q = 2.5e-155 has its quantile near 1.6e308.
         for nu in self.NUS:
             beyond = self.mp_sf(mp, sys.float_info.max, nu)
             for q in (0.3, 1e-5, 1e-50, 1e-78, 1e-80, 1e-100, 1e-154,
-                      1e-200, 1e-300):
+                      2.5e-155, 1e-200, 1e-300):
                 x = sf.t_isf(q, nu)
                 if q < beyond:
                     assert x == math.inf, (nu, q, x)
