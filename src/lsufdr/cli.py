@@ -15,6 +15,7 @@ long sweeps goes to stderr; stdout stays machine-readable.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from dataclasses import dataclass
@@ -88,9 +89,17 @@ def _parse_grid(text: str) -> tuple[float, ...]:
     return tuple(start + i * step for i in range(count))
 
 
-def _json_dump(obj, stream):
-    json.dump(obj, stream, indent=2, sort_keys=True)
-    stream.write("\n")
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _write(text: str, out: str | None):
+    """Write text to the file named out, or to stdout when out is empty."""
+    if not out:
+        sys.stdout.write(text)
+        return
+    with open(out, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
 
 
 def _curve_row(task):
@@ -110,42 +119,35 @@ def _curve_row(task):
 def cmd_curve(request: SweepRequest) -> int:
     """Write one row per (zeta, grid point); failures become status.
 
-    Grid points run on the worker pool; rows are collected in the
-    deterministic (zeta outer, grid inner) order regardless of how the
-    pool schedules them.
+    Grid points run on the worker pool when there are several workers
+    and at least four points; rows are collected in the deterministic
+    (zeta outer, grid inner) order regardless of how the pool schedules
+    them.
     """
     from .montecarlo import worker_count
 
     tasks = [(request.family, request.alpha, zeta, g)
              for zeta in request.zetas for g in request.grid]
-    nworkers = worker_count()
-    if nworkers > 1 and len(tasks) >= 4:
-        from concurrent.futures import ProcessPoolExecutor
+    rows = []
+    with contextlib.ExitStack() as stack:
+        mapper = map
+        nworkers = worker_count()
+        if nworkers > 1 and len(tasks) >= 4:
+            from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=nworkers) as pool:
-            rows = []
-            for i, row in enumerate(pool.map(_curve_row, tasks), start=1):
-                print(f"curve {i}/{len(tasks)}: zeta={row[2]} grid={row[3]}",
-                      file=sys.stderr)
-                rows.append(row)
-    else:
-        rows = []
-        for i, task in enumerate(tasks, start=1):
-            print(f"curve {i}/{len(tasks)}: zeta={task[2]} grid={task[3]}",
+            mapper = stack.enter_context(
+                ProcessPoolExecutor(max_workers=nworkers)).map
+        for i, row in enumerate(mapper(_curve_row, tasks), start=1):
+            print(f"curve {i}/{len(tasks)}: zeta={row[2]} grid={row[3]}",
                   file=sys.stderr)
-            rows.append(_curve_row(task))
+            rows.append(row)
     failures = sum(1 for row in rows if row[-1] != "ok")
     if request.fmt == "csv":
-        lines = [",".join(_CURVE_COLUMNS)]
-        for row in rows:
-            lines.append(",".join(_csv_cell(v) for v in row))
-        payload = "\n".join(lines) + "\n"
-        with open(request.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(payload)
+        text = "".join(",".join(map(_csv_cell, row)) + "\n"
+                       for row in (_CURVE_COLUMNS, *rows))
     else:
-        payload = [dict(zip(_CURVE_COLUMNS, row)) for row in rows]
-        with open(request.out, "w", encoding="utf-8", newline="\n") as fh:
-            _json_dump(payload, fh)
+        text = _json_text([dict(zip(_CURVE_COLUMNS, row)) for row in rows])
+    _write(text, request.out)
     return 2 if failures else 0
 
 
@@ -186,11 +188,7 @@ def cmd_simulate(args) -> int:
     payload["alpha"] = args.alpha
     payload["zeta"] = args.zeta[0]
     payload["n"] = args.n
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            _json_dump(payload, fh)
-    else:
-        _json_dump(payload, sys.stdout)
+    _write(_json_text(payload), args.out)
     return 0
 
 
@@ -206,11 +204,7 @@ def cmd_crossing(args) -> int:
         "t_lower": report.t_lower,
         "t_upper": report.t_upper,
     }
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            _json_dump(payload, fh)
-    else:
-        _json_dump(payload, sys.stdout)
+    _write(_json_text(payload), args.out)
     return 0
 
 
@@ -221,7 +215,7 @@ def cmd_limits(args) -> int:
     if consts.fdr_discontinuity is None:
         payload["fdr_discontinuity_valid"] = False
         code = 1
-    _json_dump(payload, sys.stdout)
+    _write(_json_text(payload), None)
     return code
 
 

@@ -288,7 +288,7 @@ def _null_pvalues(model: ModelSpec, n0: int, z: float,
     if model.family == STUDENT_T:
         x = np.asarray(sf.Phi_inv(u))
         ratio = x / z
-        return np.array([sf.t_sf(v, model.nu) for v in ratio])
+        return sf.t_sf(ratio, model.nu)
     x = -np.log1p(-u)
     return _laplace_sf(x - z)
 

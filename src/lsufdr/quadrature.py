@@ -21,7 +21,7 @@ import heapq
 import math
 from typing import Callable, Iterable
 
-__all__ = ["integrate", "QuadratureError", "QuadratureResult"]
+__all__ = ["integrate", "QuadratureError"]
 
 # Integrand evaluations one `integrate` call may spend.
 _MAX_EVALS = 100_000
@@ -40,23 +40,6 @@ _WG = (0.129484966168870, 0.279705391489277, 0.381830050505119,
 
 class QuadratureError(RuntimeError):
     """The integral could not be computed to a trustworthy value."""
-
-
-class QuadratureResult(tuple):
-    """(value, error_estimate) pair with named access."""
-
-    __slots__ = ()
-
-    def __new__(cls, value: float, error: float):
-        return super().__new__(cls, (value, error))
-
-    @property
-    def value(self) -> float:
-        return self[0]
-
-    @property
-    def error(self) -> float:
-        return self[1]
 
 
 def _gk15(f: Callable[[float], float], a: float, b: float):
@@ -90,21 +73,22 @@ def _gk15(f: Callable[[float], float], a: float, b: float):
 
 def integrate(f: Callable[[float], float], a: float, b: float,
               tol: float = 1e-10,
-              points: Iterable[float] = ()) -> QuadratureResult:
+              points: Iterable[float] = ()) -> tuple[float, float]:
     """Integrate f over [a, b] to absolute tolerance tol.
 
-    `points` lists interior locations where the integrand has kinks or
-    singular derivatives; the interval is pre-split there.  The returned
-    error estimate exceeds tol only when every panel left has reached
-    the width floor.  Raises QuadratureError when the integrand is not
-    finite or the evaluation budget runs out first.
+    Returns the pair (value, error estimate).  `points` lists interior
+    locations where the integrand has kinks or singular derivatives; the
+    interval is pre-split there.  The error estimate exceeds tol only
+    when every panel left has reached the width floor.  Raises
+    QuadratureError when the integrand is not finite or the evaluation
+    budget runs out first.
     """
     a = float(a)
     b = float(b)
     if b < a:
         raise ValueError("integrate requires a <= b")
     if a == b:
-        return QuadratureResult(0.0, 0.0)
+        return 0.0, 0.0
 
     def panel(lo: float, hi: float):
         val, err = _gk15(f, lo, hi)
@@ -142,5 +126,5 @@ def integrate(f: Callable[[float], float], a: float, b: float,
         heapq.heappush(heap, right)
         err_sum += neg_err - left[0] - right[0]
     panels = heap + retired
-    return QuadratureResult(math.fsum(p[3] for p in panels),
-                            math.fsum(-p[0] for p in panels))
+    return (math.fsum(p[3] for p in panels),
+            math.fsum(-p[0] for p in panels))

@@ -1,15 +1,20 @@
-"""High-accuracy special functions used throughout the package.
+"""Special functions for the normal, Student-t and chi distributions.
 
-Everything here is self-contained: the error function family follows
-W. J. Cody's rational minimax approximations (TOMS 1969), the normal
-quantile uses Acklam's rational approximation polished by one Halley
-step, the Student-t cdf goes through the regularized incomplete beta
-function evaluated by a modified-Lentz continued fraction, and the chi
-cdf through the regularized lower incomplete gamma function.
+Each public function has one scalar implementation on the `math`
+module: the normal cdf through `math.erfc`, the normal quantile by
+Acklam's approximation and one Halley step, the Student-t tail by a
+continued fraction for the incomplete beta function, the chi cdf by the
+incomplete gamma function.  The functions keep no global state.
 
-All functions accept scalars or numpy arrays and return the matching
-shape; scalar input yields a Python float.  They are pure and keep no
-global state, so concurrent use is safe.
+Arrays: the first argument may be anything `np.asarray` takes; the
+result is a float64 array of its shape, equal element by element to the
+scalar calls, and a 0-d array gives a float.  Arrays are mapped over the
+scalar code, except in two numpy kernels that the Monte Carlo sampler
+and `asymptotics.t_of_z_normal` call on 1e5 elements, where mapping is
+4x (erfc) and 7x (quantile) slower: Cody's erfc (TOMS 1969) behind array
+`erfc`, `Phi` and `norm_sf`, and Acklam plus a numpy Halley step behind
+array `Phi_inv`, `norm_isf` and `_ppf_raw`.  These five agree with their
+scalar calls to 1e-13 relative rather than bit for bit.
 """
 
 from __future__ import annotations
@@ -45,9 +50,26 @@ _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _ONE_OVER_SQRT_PI = 1.0 / math.sqrt(math.pi)
+_FLOAT_MAX = sys.float_info.max
+
+
+def _dispatch(x, fn):
+    arr = np.asarray(x, dtype=np.float64)
+    out = fn(np.atleast_1d(arr))
+    if arr.ndim == 0:
+        return float(out[0])
+    return out.reshape(arr.shape)
+
+
+def _lift(fn, x, *args):
+    """fn(v, *args) for every element v of the array x."""
+    return _dispatch(x, lambda a: np.array(
+        [fn(v, *args) for v in a.ravel().tolist()], dtype=np.float64))
+
 
 # ---------------------------------------------------------------------------
-# Error function family (Cody's rational minimax approximations).
+# Error function family.  The array kernel follows Cody's rational
+# minimax approximations:
 # Region 1: |x| <= 0.46875, erf via a degree-4 rational in x^2.
 # Region 2: 0.46875 < x <= 4, erfcx via a degree-8 rational in x.
 # Region 3: x > 4, erfcx via an asymptotic-style rational in 1/x^2.
@@ -101,7 +123,7 @@ def _erfcx_mid(y):
 
 
 def _erfcx_large(y):
-    # y > 4
+    # y > 4; takes a float or an array
     z = 1.0 / (y * y)
     num = _ERF_P5 * z
     den = z
@@ -112,114 +134,52 @@ def _erfcx_large(y):
     return (_ONE_OVER_SQRT_PI - r) / y
 
 
-def _dispatch(x, fn):
-    arr = np.asarray(x, dtype=np.float64)
-    scalar = arr.ndim == 0
-    out = fn(np.atleast_1d(arr))
-    if scalar:
-        return float(out[0])
-    return out.reshape(arr.shape)
-
-
-# Scalar fast paths: the numpy implementations cost tens of
-# microseconds per scalar call, which dominates every root finder and
-# quadrature; plain math-module arithmetic is thirty times cheaper.
-
-
-def _erfcx_large_s(y: float) -> float:
-    z = 1.0 / (y * y)
-    num = _ERF_P5 * z
-    den = z
-    for p, q in zip(_ERF_P, _ERF_Q):
-        num = (num + p) * z
-        den = (den + q) * z
-    r = z * (num + _ERF_P4) / (den + _ERF_Q4)
-    return (_ONE_OVER_SQRT_PI - r) / y
-
-
-def _erfcx_scalar(x: float) -> float:
-    if x < 0.0:
-        return 2.0 * math.exp(x * x) - _erfcx_scalar(-x)
-    if x <= 26.0:
-        return math.exp(x * x) * math.erfc(x)
-    return _erfcx_large_s(x)
+def _erfc_cody(x):
+    """Cody's erfc on a 1-d float64 array."""
+    y = np.abs(x)
+    out = np.empty_like(y)
+    m1 = y <= 0.46875
+    m2 = ~m1
+    out[m1] = 1.0 - _erf_small(x[m1])
+    # erfc underflows to 0 below 40; the cap keeps ys**8 finite
+    ys = np.minimum(y[m2], 40.0)
+    vals = np.where(ys <= 4.0, _erfcx_mid(np.maximum(ys, 0.46875)),
+                    _erfcx_large(np.maximum(ys, 4.0)))
+    tail = np.exp(-ys * ys) * vals
+    out[m2] = np.where(x[m2] < 0.0, 2.0 - tail, tail)
+    return out
 
 
 def erfcx(x):
-    """Scaled complementary error function exp(x^2) * erfc(x)."""
-    if isinstance(x, (float, int)):
-        return _erfcx_scalar(float(x))
+    """Scaled complementary error function exp(x^2) * erfc(x).
 
-    def _eval(x):
-        y = np.abs(x)
-        out = np.empty_like(y)
-        m1 = y <= 0.46875
-        m2 = (y > 0.46875) & (y <= 4.0)
-        m3 = y > 4.0
-        if m1.any():
-            ys = y[m1]
-            out[m1] = np.exp(ys * ys) * (1.0 - _erf_small(ys))
-        if m2.any():
-            out[m2] = _erfcx_mid(y[m2])
-        if m3.any():
-            out[m3] = _erfcx_large(y[m3])
-        neg = x < 0.0
-        if neg.any():
-            # erfcx(-x) = 2 exp(x^2) - erfcx(x); overflows for x << -26.
-            xn = y[neg]
-            out[neg] = 2.0 * np.exp(xn * xn) - out[neg]
-        return out
-
-    return _dispatch(x, _eval)
+    Relative error below 6e-14, from rounding x^2 in exp(x^2) up to 26.
+    """
+    if not isinstance(x, (float, int)):
+        return _lift(erfcx, x)
+    x = float(x)
+    if x < 0.0:
+        # 2 exp(x^2) - erfcx(-x) overflows once x^2 passes log(max double)
+        if x * x > 709.78:
+            return math.inf
+        return 2.0 * math.exp(x * x) - erfcx(-x)
+    if x <= 26.0:
+        return math.exp(x * x) * math.erfc(x)
+    return _erfcx_large(x)
 
 
 def erfc(x):
-    """Complementary error function, |relative error| below 1e-15."""
+    """Complementary error function, to 6e-14 relative down to 1e-300."""
     if isinstance(x, (float, int)):
         return math.erfc(float(x))
-
-    def _eval(x):
-        y = np.abs(x)
-        out = np.empty_like(y)
-        m1 = y <= 0.46875
-        m2 = ~m1
-        if m1.any():
-            out[m1] = 1.0 - _erf_small(x[m1])
-        if m2.any():
-            ys = y[m2]
-            ex = np.exp(-ys * ys)
-            vals = np.where(ys <= 4.0,
-                            _erfcx_mid(np.maximum(ys, 0.46875)),
-                            _erfcx_large(np.maximum(ys, 4.0)))
-            tail = ex * vals
-            out[m2] = np.where(x[m2] < 0.0, 2.0 - tail, tail)
-        return out
-
-    return _dispatch(x, _eval)
+    return _dispatch(x, _erfc_cody)
 
 
 def erf(x):
     """Error function."""
-    if isinstance(x, (float, int)):
-        return math.erf(float(x))
-
-    def _eval(x):
-        y = np.abs(x)
-        out = np.empty_like(y)
-        m1 = y <= 0.46875
-        m2 = ~m1
-        if m1.any():
-            out[m1] = _erf_small(x[m1])
-        if m2.any():
-            ys = y[m2]
-            ex = np.exp(-ys * ys)
-            vals = np.where(ys <= 4.0,
-                            _erfcx_mid(np.maximum(ys, 0.46875)),
-                            _erfcx_large(np.maximum(ys, 4.0)))
-            out[m2] = np.sign(x[m2]) * (1.0 - ex * vals)
-        return out
-
-    return _dispatch(x, _eval)
+    if not isinstance(x, (float, int)):
+        return _lift(erf, x)
+    return math.erf(float(x))
 
 
 # ---------------------------------------------------------------------------
@@ -228,60 +188,40 @@ def erf(x):
 
 def phi(x):
     """Standard normal density."""
-    if isinstance(x, (float, int)):
-        return math.exp(-0.5 * x * x) / _SQRT_2PI
-    x = np.asarray(x, dtype=np.float64)
-    return np.exp(-0.5 * x * x) / _SQRT_2PI
+    if not isinstance(x, (float, int)):
+        return _lift(phi, x)
+    return math.exp(-0.5 * x * x) / _SQRT_2PI
 
 
 def Phi(x):
-    """Standard normal cdf, absolute error below 1e-15."""
+    """Standard normal cdf.
+
+    Relative error below 2e-13 (3e-13 for arrays) down to 1e-300.
+    """
     if isinstance(x, (float, int)):
         return 0.5 * math.erfc(-float(x) / _SQRT2)
-
-    def _eval(x):
-        return 0.5 * np.asarray(erfc(-x / _SQRT2))
-
-    return _dispatch(x, _eval)
+    return _dispatch(x, lambda a: 0.5 * _erfc_cody(-a / _SQRT2))
 
 
 def norm_sf(x):
-    """Standard normal upper tail 1 - Phi(x), accurate far into the tail."""
+    """Standard normal upper tail 1 - Phi(x), as accurate as `Phi`."""
     if isinstance(x, (float, int)):
         return 0.5 * math.erfc(float(x) / _SQRT2)
-
-    def _eval(x):
-        return 0.5 * np.asarray(erfc(x / _SQRT2))
-
-    return _dispatch(x, _eval)
+    return _dispatch(x, lambda a: 0.5 * _erfc_cody(a / _SQRT2))
 
 
 def norm_logsf(x):
-    """log(1 - Phi(x)) without underflow for large x."""
-    if isinstance(x, (float, int)):
-        x = float(x)
-        if x < -1.0:
-            return math.log1p(-0.5 * math.erfc(-x / _SQRT2))
-        if x <= 12.0:
-            return math.log(0.5 * math.erfc(x / _SQRT2))
-        return math.log(0.5 * _erfcx_scalar(x / _SQRT2)) - 0.5 * x * x
-
-    def _eval(x):
-        out = np.empty_like(x)
-        lo = x < -1.0
-        mid = (x >= -1.0) & (x <= 12.0)
-        hi = x > 12.0
-        if lo.any():
-            out[lo] = np.log1p(-0.5 * np.asarray(erfc(-x[lo] / _SQRT2)))
-        if mid.any():
-            out[mid] = np.log(0.5 * np.asarray(erfc(x[mid] / _SQRT2)))
-        if hi.any():
-            xs = x[hi]
-            out[hi] = (np.log(0.5 * np.asarray(erfcx(xs / _SQRT2)))
-                       - 0.5 * xs * xs)
-        return out
-
-    return _dispatch(x, _eval)
+    """log(1 - Phi(x)) without underflow, relative error below 2e-13."""
+    if not isinstance(x, (float, int)):
+        return _lift(norm_logsf, x)
+    x = float(x)
+    if x < -1.0:
+        return math.log1p(-0.5 * math.erfc(-x / _SQRT2))
+    if x <= 12.0:
+        return math.log(0.5 * math.erfc(x / _SQRT2))
+    if x == math.inf:
+        return -math.inf
+    return math.log(0.5 * erfcx(x / _SQRT2)) - 0.5 * x * x
 
 
 # Acklam's rational approximation for the normal quantile.
@@ -299,46 +239,68 @@ _PPF_D = (7.784695709041462e-03, 3.224671290700398e-01,
 _PPF_PLOW = 0.02425
 
 
+def _acklam_central(q):
+    # quantile at p = 1/2 + q, for _PPF_PLOW <= p <= 1 - _PPF_PLOW
+    r = q * q
+    a, b = _PPF_A, _PPF_B
+    return q * (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r
+                + a[5]) / (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r
+                            + b[4]) * r + 1.0)
+
+
+def _acklam_tail(q):
+    # quantile at p < _PPF_PLOW, from q = sqrt(-2 log p)
+    c, d = _PPF_C, _PPF_D
+    return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q
+            + c[5]) / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
+
+
 def _ppf_raw(p):
+    """Acklam's quantile, unpolished, on a float64 array in (0, 1)."""
     out = np.empty_like(p)
     lo = p < _PPF_PLOW
     hi = p > 1.0 - _PPF_PLOW
     mid = ~(lo | hi)
-    if mid.any():
-        q = p[mid] - 0.5
-        r = q * q
-        a, b = _PPF_A, _PPF_B
-        num = ((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]
-        den = ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
-        out[mid] = q * num / den
-    for mask, sign, pp in ((lo, 1.0, p), (hi, -1.0, p)):
-        if mask.any():
-            q = np.where(mask, np.where(sign > 0, p, 1.0 - p), 0.5)
-            q = np.sqrt(-2.0 * np.log(q[mask]))
-            c, d = _PPF_C, _PPF_D
-            num = ((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]
-            den = (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-            out[mask] = sign * num / den
+    out[mid] = _acklam_central(p[mid] - 0.5)
+    out[lo] = _acklam_tail(np.sqrt(-2.0 * np.log(p[lo])))
+    out[hi] = -_acklam_tail(np.sqrt(-2.0 * np.log(1.0 - p[hi])))
     return out
 
 
-def _ppf_scalar(p: float) -> float:
-    c, d = _PPF_C, _PPF_D
+def _Phi_inv_halley(p):
+    """The array `Phi_inv`: `_ppf_raw` and one numpy Halley step."""
+    if np.any(p <= 0.0) or np.any(p >= 1.0):
+        raise ValueError("Phi_inv requires 0 < p < 1")
+    x = _ppf_raw(p)
+    # switch to log space once exp(x^2/2) overflows
+    e = 0.5 * _erfc_cody(-x / _SQRT2) - p
+    safe = np.abs(x) < 36.0
+    u = np.where(safe,
+                 e * _SQRT_2PI * np.exp(np.where(safe, 0.5 * x * x, 0.0)),
+                 np.sign(e) * np.exp(np.log(np.abs(e) + 1e-320)
+                                     + 0.5 * x * x + _LN_SQRT_2PI))
+    return x - u / (1.0 + 0.5 * x * u)
+
+
+def Phi_inv(p):
+    """Standard normal quantile on the open interval (0, 1).
+
+    Acklam's rational approximation refined by one Halley step: the
+    relative error is below 5e-15 up to p = 1 - 0.02425.  Above that
+    the Halley step's Phi(x) - p cancels and only Acklam's own 1.15e-9
+    holds; pass the tail mass 1 - p to `norm_isf` for full accuracy.
+    """
+    if not isinstance(p, (float, int)):
+        return _dispatch(p, _Phi_inv_halley)
+    p = float(p)
+    if not 0.0 < p < 1.0:
+        raise ValueError("Phi_inv requires 0 < p < 1")
     if p < _PPF_PLOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q
-             + c[5]) / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
+        x = _acklam_tail(math.sqrt(-2.0 * math.log(p)))
     elif p > 1.0 - _PPF_PLOW:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        x = -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q
-              + c[5]) / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
+        x = -_acklam_tail(math.sqrt(-2.0 * math.log(1.0 - p)))
     else:
-        a, b = _PPF_A, _PPF_B
-        q = p - 0.5
-        r = q * q
-        x = q * (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r
-                 + a[5]) / (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r
-                             + b[4]) * r + 1.0)
+        x = _acklam_central(p - 0.5)
     e = 0.5 * math.erfc(-x / _SQRT2) - p
     if abs(x) < 36.0:
         u = e * _SQRT_2PI * math.exp(0.5 * x * x)
@@ -349,58 +311,24 @@ def _ppf_scalar(p: float) -> float:
     return x - u / (1.0 + 0.5 * x * u)
 
 
-def Phi_inv(p):
-    """Standard normal quantile on the open interval (0, 1).
-
-    Acklam's rational approximation refined by one Halley step, which
-    brings the relative error to a few ulp across the whole range.
-    """
-    if isinstance(p, (float, int)):
-        p = float(p)
-        if not 0.0 < p < 1.0:
-            raise ValueError("Phi_inv requires 0 < p < 1")
-        return _ppf_scalar(p)
-
-    def _eval(p):
-        if np.any(p <= 0.0) or np.any(p >= 1.0):
-            raise ValueError("Phi_inv requires 0 < p < 1")
-        x = _ppf_raw(p)
-        # Halley refinement; switch to log space once exp(x^2/2) overflows.
-        e = np.asarray(Phi(x)) - p
-        safe = np.abs(x) < 36.0
-        u = np.where(safe,
-                     e * _SQRT_2PI * np.exp(np.where(safe, 0.5 * x * x, 0.0)),
-                     np.sign(e) * np.exp(np.log(np.abs(e) + 1e-320)
-                                         + 0.5 * x * x + _LN_SQRT_2PI))
-        x = x - u / (1.0 + 0.5 * x * u)
-        return x
-
-    return _dispatch(p, _eval)
-
-
 def norm_isf(q):
-    """Upper-tail normal quantile: x with 1 - Phi(x) = q."""
-    if isinstance(q, (float, int)):
-        q = float(q)
-        if not 0.0 < q < 1.0:
-            raise ValueError("norm_isf requires 0 < q < 1")
-        return -_ppf_scalar(q)
-    q = np.asarray(q, dtype=np.float64)
-    out = -np.asarray(Phi_inv(q))
-    return float(out) if out.ndim == 0 else out
+    """Upper-tail normal quantile: x with 1 - Phi(x) = q; see `Phi_inv`."""
+    return -Phi_inv(q)
 
 
-def norm_isf_log(lq: float) -> float:
+def norm_isf_log(lq):
     """Upper-tail normal quantile from the log tail mass.
 
     Solves norm_logsf(x) = lq for x, valid for lq <= log(1/2) even when
-    exp(lq) underflows.  Used by crossing solvers operating far in the
-    tails.
+    exp(lq) underflows, to 2e-15 relative.  Used by crossing solvers
+    operating far in the tails.
     """
+    if not isinstance(lq, (float, int)):
+        return _lift(norm_isf_log, lq)
     if lq > math.log(0.5) + 1e-15:
         raise ValueError("norm_isf_log requires lq <= log(1/2)")
     if lq >= -700.0:
-        return float(norm_isf(math.exp(lq)))
+        return norm_isf(math.exp(lq))
     # Asymptotic seed: lq ~ -x^2/2 - log(x) - log(sqrt(2 pi)).
     x = math.sqrt(-2.0 * lq)
     for _ in range(4):
@@ -468,9 +396,41 @@ def _check_nu(nu: float) -> float:
     return nu
 
 
-def t_pdf(x: float, nu: float) -> float:
+def _solve_increasing(g, dens, x, hi, rtol):
+    """Root of an increasing g on [0, inf), from the seed x; dens = g'.
+
+    Quadruples hi until g(hi) >= 0, then takes Newton steps that fall
+    back to bisection when they leave the bracket, until a step is
+    below rtol relative.  Returns inf when g < 0 at the largest double.
+    """
+    lo = 0.0
+    while g(hi) < 0.0:
+        if hi == _FLOAT_MAX:
+            return math.inf  # the root lies past the double range
+        lo, hi = hi, min(hi * 4.0, _FLOAT_MAX)
+    x = min(max(x, lo), hi)
+    for _ in range(200):
+        gx = g(x)
+        if gx == 0.0:
+            return x
+        if gx < 0.0:
+            lo = x
+        else:
+            hi = x
+        d = dens(x)
+        x_new = x - gx / d if d > 0.0 else 0.5 * lo + 0.5 * hi
+        if not lo < x_new < hi:
+            x_new = 0.5 * lo + 0.5 * hi  # lo + hi may overflow
+        if abs(x_new - x) <= rtol * x_new:
+            return x_new
+        x = x_new
+    return x
+
+
+def t_pdf(x, nu: float):
     """Student-t density."""
-    nu = _check_nu(nu)
+    if not isinstance(x, (float, int)):
+        return _lift(t_pdf, x, nu)
     return math.exp(t_logpdf(x, nu))
 
 
@@ -490,8 +450,10 @@ def _t_log_w(x: float, nu: float):
     return log_1mw - 2.0 * log_y, log_1mw
 
 
-def t_logpdf(x: float, nu: float) -> float:
+def t_logpdf(x, nu: float):
     """Log of the Student-t density."""
+    if not isinstance(x, (float, int)):
+        return _lift(t_logpdf, x, nu)
     nu = _check_nu(nu)
     x = float(x)
     log_w = _t_log_w(x, nu)[0] if x != 0.0 else 0.0
@@ -517,8 +479,10 @@ def _t_log_tail(x: float, nu: float) -> float:
     return math.log(0.5) + math.log1p(-tail) if tail < 1.0 else -math.inf
 
 
-def t_cdf(x: float, nu: float) -> float:
+def t_cdf(x, nu: float):
     """Student-t cdf via the regularized incomplete beta function."""
+    if not isinstance(x, (float, int)):
+        return _lift(t_cdf, x, nu)
     nu = _check_nu(nu)
     x = float(x)
     if x == 0.0:
@@ -527,13 +491,21 @@ def t_cdf(x: float, nu: float) -> float:
     return tail if x < 0.0 else 1.0 - tail
 
 
-def t_sf(x: float, nu: float) -> float:
-    """Student-t upper tail 1 - F(x), accurate for large x."""
+def t_sf(x, nu: float):
+    """Student-t upper tail 1 - F(x), accurate for large x.
+
+    Relative error below 1e-13 at nu <= 5 down to 1e-300; it grows with
+    nu (2e-11 at nu = 1e5).
+    """
+    if not isinstance(x, (float, int)):
+        return _lift(t_sf, x, nu)
     return t_cdf(-x, nu)
 
 
-def t_logsf(x: float, nu: float) -> float:
+def t_logsf(x, nu: float):
     """log of the Student-t upper tail, stable far into the tail."""
+    if not isinstance(x, (float, int)):
+        return _lift(t_logsf, x, nu)
     nu = _check_nu(nu)
     x = float(x)
     if x <= 0.0:
@@ -541,61 +513,31 @@ def t_logsf(x: float, nu: float) -> float:
     return _t_log_tail(x, nu)
 
 
-def _t_tail_quantile(q: float, nu: float) -> float:
-    # x >= 0 with t_sf(x, nu) = q for tail mass q in (0, 1/2].
-    if q == 0.5:
-        return 0.0
-    x = float(norm_isf(q)) if q > 1e-300 else 40.0
-    lo, hi = 0.0, max(2.0 * x, 1.0)
-    for _ in range(600):
-        if t_sf(hi, nu) <= q:
-            break
-        if hi == sys.float_info.max:
-            return math.inf  # the quantile lies past the double range
-        lo, hi = hi, min(hi * 4.0, sys.float_info.max)
-    else:
-        raise RuntimeError("t_quantile failed to bracket")
-    x = min(max(x, lo), hi)
-    for _ in range(200):
-        f = t_sf(x, nu) - q
-        if f > 0.0:
-            lo = x
-        else:
-            hi = x
-        dens = t_pdf(x, nu)
-        x_new = x + f / dens if dens > 0.0 else 0.5 * lo + 0.5 * hi
-        if not lo < x_new < hi:
-            x_new = 0.5 * lo + 0.5 * hi  # lo + hi may overflow
-        if abs(x_new - x) <= 1e-13 * max(1.0, abs(x_new)):
-            return x_new
-        x = x_new
-    return x
+def t_isf(q, nu: float):
+    """Upper-tail Student-t quantile: x with 1 - F(x) = q.
 
-
-def t_quantile(p: float, nu: float) -> float:
-    """Student-t quantile by bracketing plus safeguarded Newton.
-
-    Solved in terms of the tail mass, so quantiles stay accurate to
-    about 1e-13 relative in both tails.
+    Solved on the smaller tail mass, to 1e-13 relative in x, so both
+    tails stay accurate (at nu <= 5 the tail at the result is within
+    3e-13 of q); inf past the largest double.
     """
-    nu = _check_nu(nu)
-    p = float(p)
-    if not 0.0 < p < 1.0:
-        raise ValueError("t_quantile requires 0 < p < 1")
-    if p < 0.5:
-        return -_t_tail_quantile(p, nu)
-    return _t_tail_quantile(1.0 - p, nu)
-
-
-def t_isf(q: float, nu: float) -> float:
-    """Upper-tail Student-t quantile: x with 1 - F(x) = q."""
+    if not isinstance(q, (float, int)):
+        return _lift(t_isf, q, nu)
     nu = _check_nu(nu)
     q = float(q)
     if not 0.0 < q < 1.0:
         raise ValueError("t_isf requires 0 < q < 1")
-    if q <= 0.5:
-        return _t_tail_quantile(q, nu)
-    return -_t_tail_quantile(1.0 - q, nu)
+    tail = min(q, 1.0 - q)
+    if tail == 0.5:
+        return 0.0
+    x = norm_isf(tail) if tail > 1e-300 else 40.0
+    x = _solve_increasing(lambda v: tail - t_sf(v, nu),
+                          lambda v: t_pdf(v, nu), x, max(2.0 * x, 1.0), 1e-13)
+    return x if q <= 0.5 else -x
+
+
+def t_quantile(p, nu: float):
+    """Student-t quantile: x with F(x) = p, as accurate as `t_isf`."""
+    return -t_isf(p, nu)
 
 
 # ---------------------------------------------------------------------------
@@ -642,26 +584,26 @@ def _gcf(a: float, x: float) -> float:
     raise RuntimeError(f"incomplete gamma cf failed (a={a}, x={x})")
 
 
-def gammainc_lower_reg(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma function P(a, x)."""
-    if a <= 0.0:
-        raise ValueError("gammainc_lower_reg requires a > 0")
-    if x < 0.0:
-        raise ValueError("gammainc_lower_reg requires x >= 0")
-    if x == 0.0:
-        return 0.0
-    if x < a + 1.0:
-        return _gser(a, x)
-    return 1.0 - _gcf(a, x)
+def chi_cdf(x, nu: float):
+    """Cdf of the chi distribution, P(nu/2, x^2/2) in incomplete gamma.
 
-
-def chi_cdf(x: float, nu: float) -> float:
-    """Cdf of the chi distribution (square root of a chi-square)."""
+    Relative error below 3e-14 at nu <= 40; it grows with nu (7e-12 at
+    nu = 1e4).
+    """
+    if not isinstance(x, (float, int)):
+        return _lift(chi_cdf, x, nu)
     nu = _check_nu(nu)
     x = float(x)
     if x < 0.0:
         raise ValueError("chi_cdf requires x >= 0")
-    return gammainc_lower_reg(0.5 * nu, 0.5 * x * x)
+    a, h = 0.5 * nu, 0.5 * x * x
+    if h == 0.0:
+        return 0.0
+    if h == math.inf:
+        return 1.0
+    if h < a + 1.0:
+        return _gser(a, h)
+    return 1.0 - _gcf(a, h)
 
 
 def _chi_logpdf(x: float, nu: float) -> float:
@@ -669,35 +611,22 @@ def _chi_logpdf(x: float, nu: float) -> float:
             - (0.5 * nu - 1.0) * math.log(2.0) - math.lgamma(0.5 * nu))
 
 
-def chi_quantile(p: float, nu: float) -> float:
-    """Quantile of the chi distribution by safeguarded Newton."""
+def chi_quantile(p, nu: float):
+    """Chi quantile by safeguarded Newton, to 4e-14 relative for p <= 0.999.
+
+    Nearer 1 the cdf's absolute error, about 1e-16, is divided by the
+    tail mass 1 - p (8e-7 relative at p = 1 - 1e-12).
+    """
+    if not isinstance(p, (float, int)):
+        return _lift(chi_quantile, p, nu)
     nu = _check_nu(nu)
     p = float(p)
     if not 0.0 < p < 1.0:
         raise ValueError("chi_quantile requires 0 < p < 1")
     # Wilson-Hilferty seed for the chi-square quantile.
-    z = float(Phi_inv(p))
+    z = Phi_inv(p)
     seed = nu * (1.0 - 2.0 / (9.0 * nu) + z * math.sqrt(2.0 / (9.0 * nu))) ** 3
     x = math.sqrt(max(seed, 1e-12))
-    lo, hi = 0.0, max(4.0 * x, 1.0)
-    for _ in range(400):
-        if chi_cdf(hi, nu) >= p:
-            break
-        lo, hi = hi, hi * 4.0
-    else:
-        raise RuntimeError("chi_quantile failed to bracket")
-    x = min(max(x, lo + 1e-300), hi)
-    for _ in range(200):
-        f = chi_cdf(x, nu) - p
-        if f > 0.0:
-            hi = x
-        else:
-            lo = x
-        dens = math.exp(_chi_logpdf(x, nu)) if x > 0.0 else 0.0
-        x_new = x - f / dens if dens > 0.0 else 0.5 * (lo + hi)
-        if not lo < x_new < hi:
-            x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) <= 1e-14 * max(1.0, abs(x_new)):
-            return x_new
-        x = x_new
-    return x
+    return _solve_increasing(lambda v: chi_cdf(v, nu) - p,
+                             lambda v: math.exp(_chi_logpdf(v, nu)),
+                             x, max(4.0 * x, 1.0), 1e-14)

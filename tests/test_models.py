@@ -316,6 +316,11 @@ class TestSampling:
                 zq = float(np.quantile(zs, q))
                 assert abs(disturbance_cdf(spec, zq) - q) < 0.02
 
+    def test_disturbance_cdf_at_infinity(self):
+        # the chi cdf behind the t family squares its argument
+        for spec in (NORMAL, STUDT, EXPO):
+            assert disturbance_cdf(spec, math.inf) == 1.0
+
     def test_exponential_finite_shift_alternatives(self):
         spec = ModelSpec.exponential(false_theta=3.0)
         cfg = ExtremeConfig(n=200, zeta=0.5, seed=8)
