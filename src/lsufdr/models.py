@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -253,6 +254,12 @@ def disturbance_cdf(model: ModelSpec, z: float) -> float:
 # Sampling.
 
 
+# _uniform_open's range, and the margin by which the tail sampler lowers
+# its uniform threshold against rounding in the p-value kernels
+_U_TINY = 1e-16
+_U_MARGIN = 1e-9
+
+
 def make_rng(seed: int, *key: int) -> np.random.Generator:
     """Counter-based generator for a (seed, substream...) combination."""
     ss = np.random.SeedSequence(entropy=(int(seed), *map(int, key)))
@@ -262,13 +269,14 @@ def make_rng(seed: int, *key: int) -> np.random.Generator:
 def _uniform_open(rng: np.random.Generator, size=None):
     # uniforms in the open interval so inverse-cdf transforms stay finite
     u = rng.random(size)
-    tiny = 1e-16
-    return np.clip(u, tiny, 1.0 - tiny)
+    if size is None:
+        return min(max(u, _U_TINY), 1.0 - _U_TINY)
+    return u.clip(_U_TINY, 1.0 - _U_TINY)
 
 
 def draw_disturbance(model: ModelSpec, rng: np.random.Generator) -> float:
     """One draw of Z by inverse-cdf transform."""
-    u = float(_uniform_open(rng))
+    u = _uniform_open(rng)
     if model.family == NORMAL:
         return float(sf.Phi_inv(u))
     if model.family == STUDENT_T:
@@ -276,51 +284,106 @@ def draw_disturbance(model: ModelSpec, rng: np.random.Generator) -> float:
     return -math.log1p(-u)
 
 
-def _null_pvalues(model: ModelSpec, n0: int, z: float,
-                  rng: np.random.Generator) -> np.ndarray:
-    if n0 == 0:
-        return np.empty(0, dtype=np.float64)
-    u = _uniform_open(rng, n0)
+def _null_pvalues(model: ModelSpec, z: float, u: np.ndarray) -> np.ndarray:
+    """Null p-values of the uniforms u given z, decreasing in u."""
     if model.family == NORMAL:
         x = np.asarray(sf.Phi_inv(u))
         y = math.sqrt(model.rho_bar) * x - math.sqrt(model.rho) * z
         return np.asarray(sf.norm_sf(y))
     if model.family == STUDENT_T:
         x = np.asarray(sf.Phi_inv(u))
-        ratio = x / z
-        return sf.t_sf(ratio, model.nu)
-    x = -np.log1p(-u)
-    return _laplace_sf(x - z)
+        return sf.t_sf(x / z, model.nu)
+    return _laplace_sf(-np.log1p(-u) - z)
+
+
+def _shifted_pvalues(model: ModelSpec, z: float,
+                     u: np.ndarray) -> np.ndarray:
+    """Exponential p-values under the location shift false_theta."""
+    return _laplace_sf(model.false_theta - np.log1p(-u) - z)
 
 
 def _laplace_sf(w: np.ndarray) -> np.ndarray:
     # 1 - W_T(w) for the difference of two standard exponentials
     w = np.asarray(w, dtype=np.float64)
-    return np.where(w <= 0.0, 1.0 - 0.5 * np.exp(w), 0.5 * np.exp(-w))
+    half = 0.5 * np.exp(-np.abs(w))
+    return np.where(w <= 0.0, 1.0 - half, half)
 
 
-def _false_pvalues(model: ModelSpec, n1: int, z: float,
-                   rng: np.random.Generator) -> np.ndarray:
-    if n1 == 0:
+@lru_cache(maxsize=16)
+def _t_critical(cutoff: float, nu: float) -> float:
+    return sf.t_isf(cutoff, nu)
+
+
+def _uniform_threshold(model: ModelSpec, z: float, cutoff: float,
+                       shifted: bool = False) -> float:
+    """Smallest uniform whose exact p-value is at or below cutoff.
+
+    0 when cutoff >= 1.  `shifted` selects the exponential family's
+    false_theta alternatives instead of its nulls.
+    """
+    if cutoff >= 1.0:
+        return 0.0
+    if model.family == NORMAL:
+        x = (sf.norm_isf(cutoff) + math.sqrt(model.rho) * z) \
+            / math.sqrt(model.rho_bar)
+        return sf.Phi(x)
+    if model.family == STUDENT_T:
+        return sf.Phi(z * _t_critical(cutoff, model.nu))
+    # p <= cutoff once the Laplace variate w = E - shift reaches w_c
+    w_c = math.log(0.5 / cutoff) if cutoff < 0.5 \
+        else math.log(2.0 - 2.0 * cutoff)
+    shift = z - model.false_theta if shifted else z
+    return max(-math.expm1(-(shift + w_c)), 0.0)
+
+
+def _tail(rng: np.random.Generator, size: int, pvalues, threshold: float,
+          cutoff: float) -> np.ndarray:
+    """p-values of `size` fresh uniforms, keeping those that can be <= cutoff.
+
+    Every uniform is drawn, so the generator ends in the same state
+    whatever the cutoff.  `pvalues` maps uniforms to p-values, element
+    by element, and is decreasing; uniforms below `threshold` less a
+    margin are dropped, unless the largest of them still maps to a
+    p-value at or below the cutoff, in which case all are kept.
+    """
+    if size == 0:
         return np.empty(0, dtype=np.float64)
-    if model.family == EXPONENTIAL and model.false_theta is not None:
-        u = _uniform_open(rng, n1)
-        x = model.false_theta - np.log1p(-u)
-        return _laplace_sf(x - z)
-    return np.zeros(n1, dtype=np.float64)
+    u = _uniform_open(rng, size)
+    lo = min(max(threshold - _U_MARGIN, _U_TINY), 1.0 - _U_TINY)
+    keep = u >= lo
+    kept = u[keep]
+    if kept.size == size:
+        return pvalues(u)
+    # u - keep is negative where kept, so its max is the largest dropped
+    # uniform; it rides along as the last element
+    p = pvalues(np.concatenate((kept, [(u - keep).max()])))
+    return p[:-1] if p[-1] > cutoff else pvalues(u)
 
 
 def _assemble(model: ModelSpec, config: ExtremeConfig, z: float,
-              rng: np.random.Generator):
+              rng: np.random.Generator, cutoff: float = 1.0):
+    """One replicate's p-values given z, nulls first.
+
+    Only the p-values that can lie at or below `cutoff` are kept; the
+    sample's `n` stays config.n.  The step-up procedures at level alpha
+    never reject a p-value above alpha, so cutoff = alpha gives them the
+    same rejections as the full vector (cutoff = 1).
+    """
     from .stepup import PValueSample
 
-    n0 = config.n0
-    nulls = _null_pvalues(model, n0, z, rng)
-    falses = _false_pvalues(model, config.n1, z, rng)
+    nulls = _tail(rng, config.n0, lambda u: _null_pvalues(model, z, u),
+                  _uniform_threshold(model, z, cutoff), cutoff)
+    if model.family == EXPONENTIAL and model.false_theta is not None:
+        falses = _tail(rng, config.n1,
+                       lambda u: _shifted_pvalues(model, z, u),
+                       _uniform_threshold(model, z, cutoff, shifted=True),
+                       cutoff)
+    else:
+        falses = np.zeros(config.n1, dtype=np.float64)
     pv = np.concatenate([nulls, falses])
-    labels = np.zeros(config.n, dtype=bool)
-    labels[:n0] = True
-    return PValueSample(pvalues=pv, is_true_null=labels)
+    labels = np.zeros(pv.size, dtype=bool)
+    labels[:nulls.size] = True
+    return PValueSample(pvalues=pv, is_true_null=labels, n=config.n)
 
 
 def sample_pvalues(model: ModelSpec, config: ExtremeConfig):

@@ -5,6 +5,17 @@ Each replicate owns a counter-based generator substream derived from
 regardless of how replicates are distributed over workers.  Replicates
 are processed in fixed-size chunks whose partial sums are merged in
 chunk order.
+
+Replicates are tail-only.  The step-up procedures at level alpha only
+ever reject p-values at or below alpha (the largest critical value),
+and given the disturbance every p-value is a decreasing function of its
+uniform draw.  So each replicate draws all n uniforms, but maps through
+the quantile, the p-value kernel and the sort only those above one
+closed-form threshold per family (lowered by a small margin, and
+checked on the largest uniform it drops); the step-up then compares
+these candidates with the critical values i*alpha/n of the full n.  The
+rejection counts equal those of the full p-value vector on the same
+substream, and about alpha*n p-values are sorted in place of n.
 """
 
 from __future__ import annotations
@@ -110,7 +121,7 @@ def _simulate_chunk(plan: SimulationPlan, start: int, stop: int,
             z = draw_disturbance(plan.model, rng)
         else:
             z = float(plan.conditional_z)
-        sample = _assemble(plan.model, plan.config, z, rng)
+        sample = _assemble(plan.model, plan.config, z, rng, plan.alpha)
         res = proc(sample, plan.alpha)
         fdp = res.fdp
         v_n = res.v / n

@@ -51,6 +51,9 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _ONE_OVER_SQRT_PI = 1.0 / math.sqrt(math.pi)
 _FLOAT_MAX = sys.float_info.max
+_FLOAT_MIN = sys.float_info.min
+_LN2 = math.log(2.0)
+_SQRT_FLOAT_MIN = math.sqrt(_FLOAT_MIN)
 
 
 def _dispatch(x, fn):
@@ -401,7 +404,9 @@ def _solve_increasing(g, dens, x, hi, rtol):
 
     Quadruples hi until g(hi) >= 0, then takes Newton steps that fall
     back to bisection when they leave the bracket, until a step is
-    below rtol relative.  Returns inf when g < 0 at the largest double.
+    below rtol relative.  The bisection is geometric while the lower
+    end is 0, so a root far below the seed takes a few steps.  Returns
+    inf when g < 0 at the largest double.
     """
     lo = 0.0
     while g(hi) < 0.0:
@@ -418,9 +423,12 @@ def _solve_increasing(g, dens, x, hi, rtol):
         else:
             hi = x
         d = dens(x)
-        x_new = x - gx / d if d > 0.0 else 0.5 * lo + 0.5 * hi
+        x_new = x - gx / d if d > 0.0 else math.nan
         if not lo < x_new < hi:
-            x_new = 0.5 * lo + 0.5 * hi  # lo + hi may overflow
+            if lo == 0.0:  # sqrt(_FLOAT_MIN * hi), without underflow
+                x_new = min(_SQRT_FLOAT_MIN * math.sqrt(hi), 0.5 * hi)
+            else:
+                x_new = 0.5 * lo + 0.5 * hi  # lo + hi may overflow
         if abs(x_new - x) <= rtol * x_new:
             return x_new
         x = x_new
@@ -548,7 +556,8 @@ _GAM_EPS = 1e-15
 
 
 def _gser(a: float, x: float) -> float:
-    # Series representation, good for x < a + 1.
+    # Series representation, good for x < a + 1, without its prefactor
+    # exp(-x) x^a / Gamma(a).
     ap = a
     s = 1.0 / a
     delta = s
@@ -557,7 +566,7 @@ def _gser(a: float, x: float) -> float:
         delta *= x / ap
         s += delta
         if abs(delta) < abs(s) * _GAM_EPS:
-            return s * math.exp(-x + a * math.log(x) - math.lgamma(a))
+            return s
     raise RuntimeError(f"incomplete gamma series failed (a={a}, x={x})")
 
 
@@ -596,14 +605,17 @@ def chi_cdf(x, nu: float):
     x = float(x)
     if x < 0.0:
         raise ValueError("chi_cdf requires x >= 0")
-    a, h = 0.5 * nu, 0.5 * x * x
-    if h == 0.0:
+    if x == 0.0:
         return 0.0
+    a, h = 0.5 * nu, 0.5 * x * x
     if h == math.inf:
         return 1.0
-    if h < a + 1.0:
-        return _gser(a, h)
-    return 1.0 - _gcf(a, h)
+    if h >= a + 1.0:
+        return 1.0 - _gcf(a, h)
+    if h >= _FLOAT_MIN:
+        return _gser(a, h) * math.exp(-h + a * math.log(h) - math.lgamma(a))
+    # h = x*x/2 underflows below x = 1.5e-162: h^a = x^nu / 2^a, exp(-h) = 1
+    return _gser(a, h) * math.pow(x, nu) * math.exp(-a * _LN2 - math.lgamma(a))
 
 
 def _chi_logpdf(x: float, nu: float) -> float:

@@ -18,26 +18,34 @@ __all__ = ["PValueSample", "RejectionResult", "lsu", "lsd", "ecdf"]
 
 @dataclass(frozen=True)
 class PValueSample:
-    """A realized p-value vector with true/false-null labels."""
+    """A realized p-value vector with true/false-null labels.
+
+    `n` is the number of hypotheses, by default the vector's length.  A
+    larger n says that the other n - len(pvalues) p-values exceed alpha
+    and were left out, as the Monte Carlo engine does: the procedures at
+    level alpha reject the same hypotheses either way, and `n0`/`n1`
+    count the labels that are held.
+    """
 
     pvalues: np.ndarray
     is_true_null: np.ndarray
+    n: int | None = None
 
     def __post_init__(self):
         pv = np.asarray(self.pvalues, dtype=np.float64)
         labels = np.asarray(self.is_true_null, dtype=bool)
-        if pv.ndim != 1 or pv.size == 0:
+        n = pv.size if self.n is None else int(self.n)
+        if pv.ndim != 1 or n == 0:
             raise ValueError("pvalues must be a nonempty one-dimensional vector")
+        if pv.size > n:
+            raise ValueError("n must be at least the number of p-values")
         if labels.shape != pv.shape:
             raise ValueError("is_true_null must match pvalues in length")
-        if np.any(pv < 0.0) or np.any(pv > 1.0):
+        if pv.size and not 0.0 <= pv.min() <= pv.max() <= 1.0:
             raise ValueError("p-values must lie in [0, 1]")
         object.__setattr__(self, "pvalues", pv)
         object.__setattr__(self, "is_true_null", labels)
-
-    @property
-    def n(self) -> int:
-        return self.pvalues.size
+        object.__setattr__(self, "n", n)
 
     @property
     def n0(self) -> int:
@@ -45,7 +53,7 @@ class PValueSample:
 
     @property
     def n1(self) -> int:
-        return self.n - self.n0
+        return self.is_true_null.size - self.n0
 
 
 @dataclass(frozen=True)
@@ -75,33 +83,40 @@ def _result(sample: PValueSample, m: int, alpha: float) -> RejectionResult:
     return RejectionResult(m=m, v=v, threshold=threshold, fdp=v / m)
 
 
-def _passes(pvalues, alpha: float) -> np.ndarray:
-    """Pass/fail matrix p_(i) <= i*alpha/n of the sorted last axis."""
+def _passes(pvalues, alpha: float, n: int | None = None) -> np.ndarray:
+    """Pass/fail matrix p_(i) <= i*alpha/n of the sorted last axis.
+
+    n defaults to the length of the last axis; a larger n gives the
+    first ranks of a vector whose other p-values all exceed alpha.
+    """
     ps = np.sort(pvalues, axis=-1)
-    n = ps.shape[-1]
-    return ps <= alpha * np.arange(1, n + 1) / n
+    ranks = np.arange(1, ps.shape[-1] + 1)
+    return ps <= alpha * ranks / (ps.shape[-1] if n is None else n)
 
 
-def _stepup_count(pvalues, alpha: float) -> np.ndarray:
+def _stepup_count(pvalues, alpha: float, n: int | None = None) -> np.ndarray:
     """Step-up rejection count of each row: its last passing rank, or 0.
 
-    The p-values lie on the last axis (one vector or a block of rows).
+    The p-values lie on the last axis (one vector or a block of rows);
+    n is as in `_passes`.
     """
-    ok = _passes(pvalues, alpha)
-    return (ok * np.arange(1, ok.shape[-1] + 1)).max(axis=-1)
+    ok = _passes(pvalues, alpha, n)
+    return (ok * np.arange(1, ok.shape[-1] + 1)).max(axis=-1, initial=0)
 
 
 def lsu(sample: PValueSample, alpha: float) -> RejectionResult:
     """Linear step-up procedure with critical values i*alpha/n."""
     alpha = _check_alpha(alpha)
-    return _result(sample, int(_stepup_count(sample.pvalues, alpha)), alpha)
+    m = int(_stepup_count(sample.pvalues, alpha, sample.n))
+    return _result(sample, m, alpha)
 
 
 def lsd(sample: PValueSample, alpha: float) -> RejectionResult:
     """Linear step-down procedure; rejects no more than lsu."""
     alpha = _check_alpha(alpha)
-    ok = _passes(sample.pvalues, alpha)
-    r = sample.n if bool(ok.all()) else int(np.argmin(ok))
+    ok = _passes(sample.pvalues, alpha, sample.n)
+    # past the held p-values every rank fails, as they exceed alpha
+    r = ok.size if bool(ok.all()) else int(np.argmin(ok))
     return _result(sample, r, alpha)
 
 

@@ -3,8 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from lsufdr import models
 from lsufdr.asymptotics import conditional_limits, eer_fdr_normal
-from lsufdr.models import ExtremeConfig, ModelSpec
+from lsufdr.models import (
+    ExtremeConfig,
+    ModelSpec,
+    _assemble,
+    _null_pvalues,
+    _shifted_pvalues,
+    _uniform_threshold,
+    draw_disturbance,
+    make_rng,
+)
 from lsufdr.montecarlo import (
     ConvergenceRow,
     SimulationPlan,
@@ -12,6 +22,7 @@ from lsufdr.montecarlo import (
     convergence_study,
     run,
 )
+from lsufdr.stepup import lsd, lsu
 
 EXPO_PLAN = SimulationPlan(model=ModelSpec.exponential(),
                            config=ExtremeConfig(n=50, zeta=0.5, seed=99),
@@ -98,8 +109,6 @@ class TestRun:
     def test_conditional_matches_unconditional_mixture(self):
         # averaging conditional estimates over disturbance draws agrees
         # with the unconditional estimate
-        from lsufdr.models import draw_disturbance, make_rng
-
         model = ModelSpec.exponential()
         alpha = 0.1
         n = 50
@@ -168,3 +177,143 @@ class TestConvergenceStudy:
                               alpha=0.1, replicates=30)
         rows = convergence_study(plan, [20, 40])
         assert all(r.summary.fdr_hat == 0.0 for r in rows)
+
+
+def full_vector_counts(plan):
+    """(m, v) of every replicate from the full p-value vector (cutoff 1)."""
+    proc = lsu if plan.procedure == "lsu" else lsd
+    ms, vs = [], []
+    for i in range(plan.replicates):
+        rng = make_rng(plan.config.seed, i)
+        if plan.conditional_z is None:
+            z = draw_disturbance(plan.model, rng)
+        else:
+            z = plan.conditional_z
+        res = proc(_assemble(plan.model, plan.config, z, rng), plan.alpha)
+        ms.append(res.m)
+        vs.append(res.v)
+    return np.array(ms), np.array(vs)
+
+
+# (model, n, alpha, conditional z, replicates): each family gets 10^4
+# replicates over lsu, lsd and a conditional lsu run
+EQUIVALENCE = {
+    "normal": (ModelSpec.normal(0.3), 60, 0.1, -1.0, (4000, 3000, 3000)),
+    "student_t": (ModelSpec.student_t(4.0), 16, 0.2, 0.8,
+                  (2000, 2000, 6000)),
+    "exponential": (ModelSpec.exponential(), 100, 0.1, 0.4,
+                    (4000, 3000, 3000)),
+    "exponential_shift": (ModelSpec.exponential(false_theta=2.0), 100, 0.1,
+                          0.4, (4000, 3000, 3000)),
+}
+
+
+class TestTailOnlyEngine:
+    """The engine keeps only p-values that can be <= alpha; the step-up
+    results must equal those of the full vector on the same substreams."""
+
+    @pytest.mark.parametrize("family", sorted(EQUIVALENCE))
+    def test_matches_full_vector(self, family):
+        model, n, alpha, z, reps = EQUIVALENCE[family]
+        cfg = ExtremeConfig(n=n, zeta=0.75, seed=606)
+        plans = [
+            SimulationPlan(model=model, config=cfg, alpha=alpha,
+                           replicates=reps[0]),
+            SimulationPlan(model=model, config=cfg, alpha=alpha,
+                           replicates=reps[1], procedure="lsd"),
+            SimulationPlan(model=model, config=cfg, alpha=alpha,
+                           replicates=reps[2], conditional_z=z),
+        ]
+        assert sum(p.replicates for p in plans) >= 10 ** 4
+        for plan in plans:
+            s = run(plan, keep_replicates=True, workers=1)
+            m, v = full_vector_counts(plan)
+            assert np.array_equal(s.r_counts, m)
+            assert np.array_equal(s.v_counts, v)
+            assert 0 < m.mean() < n  # neither nothing nor all rejected
+
+    @staticmethod
+    def both(model, cfg, z, cutoff, key=0):
+        tail = _assemble(model, cfg, z, make_rng(cfg.seed, key), cutoff)
+        full = _assemble(model, cfg, z, make_rng(cfg.seed, key))
+        assert tail.n == full.n == cfg.n
+        for proc in (lsu, lsd):
+            assert proc(tail, cutoff) == proc(full, cutoff)
+        return tail, full
+
+    def test_no_candidates(self):
+        model = ModelSpec.normal(0.5)
+        cfg = ExtremeConfig(n=2000, zeta=1.0, seed=1)
+        tail, _ = self.both(model, cfg, 10.0, 0.05)
+        assert tail.pvalues.size == 0
+        assert lsu(tail, 0.05).m == lsd(tail, 0.05).m == 0
+
+    def test_threshold_below_clip_keeps_every_uniform(self):
+        model = ModelSpec.normal(0.5)
+        assert _uniform_threshold(model, -20.0, 0.05) < 1e-16
+        cfg = ExtremeConfig(n=500, zeta=1.0, seed=2)
+        tail, full = self.both(model, cfg, -20.0, 0.05)
+        assert np.array_equal(tail.pvalues, full.pvalues)
+
+    @pytest.mark.parametrize("zeta", [0.0, 1.0])
+    def test_zeta_endpoints(self, zeta):
+        cfg = ExtremeConfig(n=300, zeta=zeta, seed=3)
+        for model, z in ((ModelSpec.normal(0.2), -0.5),
+                         (ModelSpec.student_t(3.0), 0.7),
+                         (ModelSpec.exponential(), 0.2),
+                         (ModelSpec.exponential(false_theta=1.0), 0.2)):
+            for key in range(20):
+                tail, _ = self.both(model, cfg, z, 0.1, key)
+                if zeta == 0.0:
+                    assert lsu(tail, 0.1).v == 0
+                    if model.false_theta is None:
+                        assert tail.pvalues.size == cfg.n
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.7, 0.95])
+    def test_exponential_alpha_at_least_half(self, alpha):
+        cfg = ExtremeConfig(n=200, zeta=0.6, seed=4)
+        for model in (ModelSpec.exponential(),
+                      ModelSpec.exponential(false_theta=1.5)):
+            for z in (0.0, 0.4, 3.0):
+                for key in range(30):
+                    self.both(model, cfg, z, alpha, key)
+
+    def test_lsd_when_every_candidate_passes(self):
+        # no null can reach alpha, so the candidates are the n1 zeros
+        model = ModelSpec.normal(0.5)
+        cfg = ExtremeConfig(n=400, zeta=0.5, seed=5)
+        tail, _ = self.both(model, cfg, 10.0, 0.05)
+        assert tail.pvalues.size == cfg.n1
+        assert lsd(tail, 0.05).m == lsu(tail, 0.05).m == cfg.n1
+
+    def test_guard_keeps_every_uniform(self, monkeypatch):
+        # a negative margin drops uniforms whose p-values are <= alpha;
+        # the largest dropped one gives that away
+        monkeypatch.setattr(models, "_U_MARGIN", -0.05)
+        cfg = ExtremeConfig(n=300, zeta=0.8, seed=6)
+        for model, z in ((ModelSpec.normal(0.3), 0.0),
+                         (ModelSpec.student_t(5.0), 1.0),
+                         (ModelSpec.exponential(false_theta=1.0), 0.1)):
+            tail, full = self.both(model, cfg, z, 0.2)
+            assert np.array_equal(tail.pvalues, full.pvalues)
+
+    @pytest.mark.parametrize("model,z,cutoff", [
+        (ModelSpec.normal(0.3), 0.5, 0.05),
+        (ModelSpec.normal(0.9), -0.5, 0.2),
+        (ModelSpec.student_t(0.7), 0.05, 0.05),
+        (ModelSpec.student_t(6.0), 0.6, 0.6),
+        (ModelSpec.exponential(), 0.3, 0.1),
+        (ModelSpec.exponential(), 2.0, 0.8),
+    ])
+    def test_threshold_is_where_the_pvalue_crosses_cutoff(self, model, z,
+                                                          cutoff):
+        pairs = [(_uniform_threshold(model, z, cutoff),
+                  lambda u: _null_pvalues(model, z, u))]
+        if model.family == "exponential":
+            shifted = ModelSpec.exponential(false_theta=0.5)
+            pairs.append((_uniform_threshold(shifted, z, cutoff, True),
+                          lambda u: _shifted_pvalues(shifted, z, u)))
+        for thr, pvalues in pairs:
+            assert 1e-3 < thr < 1.0 - 1e-3
+            below, above = pvalues(np.array([thr - 1e-7, thr + 1e-7]))
+            assert below > cutoff >= above

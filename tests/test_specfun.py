@@ -491,10 +491,20 @@ class TestMpmathOracle:
         ps = [1.0 - 1e-8, 1.0 - 1e-12]
         assert worst_rel_error(sf.chi_quantile, ps, ref, nu) < 1e-6
 
-    @pytest.mark.xfail(strict=True, reason="x*x/2 underflows in chi_cdf "
-                       "below x = 1.5e-162, where the cdf at nu = 0.5 is "
-                       "still about 1e-81; the quantile solve then stops "
-                       "after 200 bisection steps")
     def test_chi_quantile_far_lower_tail(self, mp):
         ref = self.mp_chi_quantile(mp, 1e-100, 0.5)
         assert abs(sf.chi_quantile(1e-100, 0.5) / ref - 1) < 5e-14
+
+    def test_chi_cdf_below_square_underflow(self, mp):
+        # x*x/2 underflows below x = 1.5e-162; the cdf must not
+        for nu in (0.5, 1.0, 3.0):
+            xs = [1e-161, 1e-170, 1e-250, 1e-300, 5e-324]
+            assert worst_rel_error(
+                sf.chi_cdf, xs,
+                lambda x: mp.gammainc(nu / 2, 0, mp.mpf(x) ** 2 / 2,
+                                      regularized=True), nu) < 5e-14
+
+    @pytest.mark.parametrize("p, nu", [(1e-150, 0.5), (1e-300, 1.0)])
+    def test_chi_quantile_below_square_underflow(self, mp, p, nu):
+        ref = self.mp_chi_quantile(mp, p, nu)
+        assert abs(sf.chi_quantile(p, nu) / ref - 1) < 5e-14

@@ -225,3 +225,42 @@ class TestSampleValidation:
     def test_counts(self):
         s = make_sample([0.1, 0.2, 0.3], nulls=[True, False, True])
         assert (s.n, s.n0, s.n1) == (3, 2, 1)
+
+
+class TestHeldTail:
+    """A sample may hold only its p-values at or below alpha, with n set."""
+
+    def test_same_rejections_as_full_vector(self):
+        rng = np.random.default_rng(23)
+        alpha = 0.1
+        for _ in range(300):
+            n = int(rng.integers(1, 60))
+            pv = rng.random(n) ** rng.uniform(0.2, 3.0)
+            nulls = rng.random(n) < 0.7
+            held = pv <= alpha * rng.uniform(1.0, 3.0)  # some above alpha
+            held |= pv <= alpha
+            full = PValueSample(pvalues=pv, is_true_null=nulls)
+            tail = PValueSample(pvalues=pv[held], is_true_null=nulls[held],
+                                n=n)
+            assert tail.n == full.n == n
+            assert lsu(tail, alpha) == lsu(full, alpha)
+            assert lsd(tail, alpha) == lsd(full, alpha)
+
+    def test_nothing_held(self):
+        s = PValueSample(pvalues=np.empty(0), is_true_null=np.empty(0, bool),
+                         n=5)
+        assert lsu(s, 0.1).m == lsd(s, 0.1).m == 0
+        assert (s.n, s.n0, s.n1) == (5, 0, 0)
+
+    def test_lsd_stops_after_the_held_values(self):
+        # all held values pass, so lsd rejects them and nothing more
+        s = PValueSample(pvalues=np.array([0.0, 0.001]),
+                         is_true_null=np.array([False, True]), n=10)
+        assert lsd(s, 0.05).m == lsu(s, 0.05).m == 2
+
+    def test_n_below_held_count_rejected(self):
+        with pytest.raises(ValueError):
+            PValueSample(pvalues=np.array([0.1, 0.2]),
+                         is_true_null=np.array([True, True]), n=1)
+        with pytest.raises(ValueError):
+            PValueSample(pvalues=np.empty(0), is_true_null=np.empty(0, bool))
