@@ -345,6 +345,12 @@ def _tail(rng: np.random.Generator, size: int, pvalues, threshold: float,
     by element, and is decreasing; uniforms below `threshold` less a
     margin are dropped, unless the largest of them still maps to a
     p-value at or below the cutoff, in which case all are kept.
+
+    Why the step-up at level alpha = cutoff loses nothing: a dropped
+    p-value exceeds alpha up to the kernel's rounding.  If the largest
+    dropped uniform's p-value exceeds alpha, not all n p-values pass,
+    so every rejected one is at or below alpha*(n-1)/n, which a dropped
+    one could only reach through a relative rounding error above 1/n.
     """
     if size == 0:
         return np.empty(0, dtype=np.float64)
