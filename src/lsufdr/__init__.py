@@ -25,7 +25,6 @@ from .crossing import (
     CrossingReport,
     SolverError,
     TangencySolution,
-    critical_u_pair,
     crossing_report,
     distance_normal,
     solve_tangency_normal,
@@ -65,7 +64,7 @@ __all__ = [
     "gamma_at_zero", "z_of_t", "disturbance_cdf",
     "sample_pvalues", "sample_pvalues_conditional",
     "CrossingReport", "TangencySolution", "SolverError",
-    "distance_normal", "critical_u_pair",
+    "distance_normal",
     "solve_tangency_normal", "solve_tangency_t", "crossing_report",
     "QuadratureError",
     "AsymptoticResult", "ConditionalLimit", "LimitConstants",

@@ -17,8 +17,8 @@ import numpy as np
 
 from . import specfun as sf
 from .crossing import _bisect, crossing_report
-from .models import EXPONENTIAL, NORMAL, STUDENT_T, ModelSpec, \
-    disturbance_cdf, gamma_at_zero, z_of_t
+from .models import EXPONENTIAL, ModelSpec, _check_alpha_zeta, crossing_at, \
+    disturbance_cdf, gamma_at_zero, null_pdf, z_of_t
 from .quadrature import integrate
 
 __all__ = [
@@ -53,66 +53,48 @@ class ConditionalLimit:
     fdp_limit: float
 
 
-def _weight(model: ModelSpec, alpha: float, zeta: float, t: float) -> float:
-    """P(Z <= z(t)) as a function of the crossing location t.
-
-    Continuously extended to the closed admissible window: below the
-    window every disturbance crosses beyond t (weight one, except in
-    the fully-null case where the window starts at zero mass), above it
-    none does.
-    """
-    t_lower = alpha * (1.0 - zeta)
-    t_upper = alpha if model.family == NORMAL else alpha * (1.0 - 0.5 * zeta)
-    if t <= t_lower:
-        return 0.0 if zeta == 1.0 else 1.0
-    if t >= t_upper:
-        return 0.0
-    return disturbance_cdf(model, z_of_t(model, t, alpha, zeta))
-
-
 def _eer_fdr(model: ModelSpec, alpha: float, zeta: float,
              tol: float) -> AsymptoticResult:
+    """EER and FDR as integrals over the null quantile u.
+
+    Both integrate the weight W = P(Z <= z(u)) against dt = -pdf(u) du:
+    the EER against dt/alpha, the FDR against d(1 - t_lower/t) =
+    t_lower*dt/t^2, over the stretches [t_lower, t1] and [t2, t_upper]
+    of largest crossing points.  Across the gap (t1, t2) the weight is
+    the constant W(z*).
+    """
     rep = crossing_report(model, alpha, zeta)
-    t1, t2 = rep.t1, rep.t2
-    upper_frac = rep.t_upper / alpha
-
-    def w_of_t(t: float) -> float:
-        return _weight(model, alpha, zeta, alpha * t)
-
-    if zeta == 1.0:
-        w_star = disturbance_cdf(model, rep.z_at_tangent)
-        fdr = w_star
-        pts = (0.5,) if model.family == STUDENT_T else ()
-        val, err = integrate(w_of_t, t2 / alpha, 1.0, tol=tol, points=pts)
-        eer = t2 * w_star / alpha + val
-        return AsymptoticResult(eer=eer, fdr=fdr, t1=t1, t2=t2,
-                                quadrature_error=err)
-
+    t1, t2, t_lower = rep.t1, rep.t2, rep.t_lower
+    (u_lo, u_hi), u1, u2 = rep.u_window, rep.u1, rep.u2
     w_star = disturbance_cdf(model, rep.z_at_tangent) \
         if rep.z_at_tangent is not None else 0.0
-    gap_t = (t2 - t1) / alpha * w_star if rep.has_tangent else 0.0
+    seen = {}  # the EER and FDR integrals share their first nodes
+
+    def weight_dt(u: float):
+        if u not in seen:
+            t, z, _ = crossing_at(model, u, alpha, zeta)
+            seen[u] = t, disturbance_cdf(model, z) * null_pdf(model, u)
+        return seen[u]
+
+    def eer(u: float) -> float:
+        return weight_dt(u)[1] / alpha
+
+    def fdr(u: float) -> float:
+        t, w = weight_dt(u)
+        return w * t_lower / (t * t)
+
+    if zeta == 1.0:
+        val, err = integrate(eer, u_lo, u2, tol=tol)
+        return AsymptoticResult(eer=t2 * w_star / alpha + val, fdr=w_star,
+                                t1=t1, t2=t2, quadrature_error=err)
     # four integrals share the tolerance, so their summed error meets it
-    tol = 0.25 * tol
-    # one-ulp inversions happen when an endpoint collapses onto a limit
-    lo1, hi1 = 1.0 - zeta, max(t1 / alpha, 1.0 - zeta)
-    lo2, hi2 = min(t2 / alpha, upper_frac), upper_frac
-    v1, e1 = integrate(w_of_t, lo1, hi1, tol=tol)
-    v2, e2 = integrate(w_of_t, lo2, hi2, tol=tol)
-    eer = gap_t + v1 + v2
-
-    z1 = max(1.0 - alpha * (1.0 - zeta) / t1, 0.0)
-    z_top = zeta if model.family == NORMAL else zeta / (2.0 - zeta)
-    z2 = min(1.0 - alpha * (1.0 - zeta) / t2, z_top)
-
-    def w_of_z(z: float) -> float:
-        return _weight(model, alpha, zeta, alpha * (1.0 - zeta) / (1.0 - z))
-
-    gap_z = (z2 - z1) * w_star if rep.has_tangent else 0.0
-    v3, e3 = integrate(w_of_z, 0.0, z1, tol=tol)
-    v4, e4 = integrate(w_of_z, z2, z_top, tol=tol)
-    fdr = gap_z + v3 + v4
-    return AsymptoticResult(eer=eer, fdr=fdr, t1=t1, t2=t2,
-                            quadrature_error=e1 + e2 + e3 + e4)
+    (v1, e1), (v2, e2), (v3, e3), (v4, e4) = (
+        integrate(f, a, b, tol=0.25 * tol)
+        for f in (eer, fdr) for a, b in ((u1, u_hi), (u_lo, u2)))
+    gap = w_star if rep.has_tangent else 0.0
+    return AsymptoticResult(eer=(t2 - t1) / alpha * gap + v1 + v2,
+                            fdr=(t_lower / t1 - t_lower / t2) * gap + v3 + v4,
+                            t1=t1, t2=t2, quadrature_error=e1 + e2 + e3 + e4)
 
 
 def eer_fdr_normal(alpha: float, zeta: float, rho: float,
@@ -177,12 +159,7 @@ def _largest_crossing(model: ModelSpec, alpha: float, zeta: float,
 def conditional_limits(model: ModelSpec, alpha: float, zeta: float,
                        z: float) -> ConditionalLimit:
     """Limits of V_n/n and the FDP conditionally on Z = z."""
-    alpha = float(alpha)
-    zeta = float(zeta)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie strictly between 0 and 1")
-    if not 0.0 < zeta <= 1.0:
-        raise ValueError("zeta must lie in (0, 1]")
+    alpha, zeta = _check_alpha_zeta(alpha, zeta)
     if zeta == 1.0:
         t = _largest_crossing(model, alpha, zeta, z)
         if t is None:

@@ -137,6 +137,15 @@ def _check_z(model: ModelSpec, z: float) -> float:
     return z
 
 
+def _check_alpha_zeta(alpha: float, zeta: float) -> tuple[float, float]:
+    alpha, zeta = float(alpha), float(zeta)
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie strictly between 0 and 1")
+    if not 0.0 < zeta <= 1.0:
+        raise ValueError("zeta must lie in (0, 1]")
+    return alpha, zeta
+
+
 def _check_t(t: float) -> float:
     t = float(t)
     if not 0.0 <= t <= 1.0:
@@ -186,54 +195,149 @@ def gamma_at_zero(model: ModelSpec, z: float) -> float:
     return 0.0
 
 
+def crossing_window(model: ModelSpec, alpha: float,
+                    zeta: float) -> tuple[float, float]:
+    """(t_lower, t_upper): where some disturbance's mixed cdf meets t/alpha.
+
+    The studentized null cdf is at most 1/2 for t <= 1/2, which lowers
+    its t_upper from alpha to alpha*(1-zeta/2).
+    """
+    t_lower = alpha * (1.0 - zeta)
+    if model.family == STUDENT_T:
+        return t_lower, alpha * (1.0 - 0.5 * zeta)
+    return t_lower, alpha
+
+
 def _crossing_quantile(t: float, alpha: float, zeta: float) -> float:
     """Phi_inv(q) for q = (1 - t/alpha)/zeta, inside the admissible window.
 
     q rounds to 1 within about one ulp of t_lower = alpha*(1-zeta), so
     the smaller of q and 1 - q = (t - t_lower)/(alpha*zeta) is formed
-    directly and passed to the upper-tail quantile.
+    directly and passed to the upper-tail quantile.  Outside the window
+    the value is inf at or below t_lower and -inf at or above alpha.
     """
     p = (t - alpha * (1.0 - zeta)) / (alpha * zeta)
+    if p <= 0.0:
+        return math.inf
     if p <= 0.5:
         return sf.norm_isf(p)
-    return -sf.norm_isf((alpha - t) / (alpha * zeta))
+    p = (alpha - t) / (alpha * zeta)
+    return -sf.norm_isf(p) if p > 0.0 else -math.inf
 
 
 def z_of_t(model: ModelSpec, t: float, alpha: float, zeta: float) -> float:
     """Disturbance value whose mixed cdf meets t/alpha exactly at t.
 
-    The admissible window is alpha*(1-zeta) < t < alpha for the normal
-    family and alpha*(1-zeta) < t < alpha*(1-zeta/2) for the
-    studentized one; outside it no disturbance value solves the
-    crossing equation and a ValueError is raised.
+    Outside the open window of `crossing_window` (and above t = 1/2 for
+    the exponential family) no disturbance value solves the crossing
+    equation and a ValueError is raised.
     """
     t = float(t)
-    alpha = float(alpha)
-    zeta = float(zeta)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie strictly between 0 and 1")
-    if not 0.0 < zeta <= 1.0:
-        raise ValueError("zeta must lie in (0, 1]")
-    t_lower = alpha * (1.0 - zeta)
-    if model.family == NORMAL:
-        if not t_lower < t < alpha:
-            raise ValueError(f"t={t} outside ({t_lower}, {alpha})")
-        return math.sqrt(model.rho_bar / model.rho) \
-            * _crossing_quantile(t, alpha, zeta) \
-            - sf.norm_isf(t) / math.sqrt(model.rho)
-    if model.family == STUDENT_T:
-        t_upper = alpha * (1.0 - 0.5 * zeta)
+    alpha, zeta = _check_alpha_zeta(alpha, zeta)
+    t_lower, t_upper = crossing_window(model, alpha, zeta)
+    if model.family != EXPONENTIAL:
         if not t_lower < t < t_upper:
             raise ValueError(f"t={t} outside ({t_lower}, {t_upper})")
-        return _crossing_quantile(t, alpha, zeta) / sf.t_isf(t, model.nu)
+        x, u = _crossing_quantile(t, alpha, zeta), null_isf(model, t)
+        if model.family == NORMAL:
+            return math.sqrt(model.rho_bar / model.rho) * x \
+                - u / math.sqrt(model.rho)
+        return x / u
     # exponential: solve (1-zeta) + zeta*2*exp(-z)*t = t/alpha on the
     # linear stretch t <= 1/2
-    if not t_lower < t < alpha or t > 0.5:
+    if not t_lower < t < t_upper or t > 0.5:
         raise ValueError(f"t={t} outside the admissible exponential window")
     arg = (t / alpha - (1.0 - zeta)) / (2.0 * zeta * t)
     if not 0.0 < arg <= 1.0:
         raise ValueError(f"t={t} has no disturbance solution with z >= 0")
     return -math.log(arg)
+
+
+# The crossing map on the null quantile u, where t = sf(u) is the upper
+# tail of the null statistic: normal, or Student's t for student_t.
+
+
+def null_isf(model: ModelSpec, t: float) -> float:
+    """Null quantile u with upper tail mass t."""
+    return sf.norm_isf(t) if model.family == NORMAL else sf.t_isf(t, model.nu)
+
+
+def null_sf(model: ModelSpec, u: float) -> float:
+    """Upper tail mass t of the null statistic at u."""
+    return sf.norm_sf(u) if model.family == NORMAL else sf.t_sf(u, model.nu)
+
+
+def null_pdf(model: ModelSpec, u: float) -> float:
+    """Density of the null statistic at u, so that dt = -null_pdf du."""
+    return sf.phi(u) if model.family == NORMAL else sf.t_pdf(u, model.nu)
+
+
+def _erfcx_ratio(x: float, u: float) -> float:
+    # log(erfcx(x/sqrt 2)/erfcx(u/sqrt 2)) = norm_logsf(x) - norm_logsf(u)
+    # + (x^2 - u^2)/2, with the quadratic parts cancelled analytically
+    r2 = math.sqrt(2.0)
+    return math.log(sf.erfcx(x / r2) / sf.erfcx(u / r2))
+
+
+def _tail_gap(u: float, alpha: float) -> float:
+    """x - u for the fully-null normal crossing quantile x at u > 30.
+
+    norm_logsf(x) = norm_logsf(u) - log(alpha) reads d*(u + d/2) -
+    _erfcx_ratio(u + d, u) = log(alpha) for d = x - u, which Newton's
+    method solves to full relative accuracy however large u is.
+    """
+    la = math.log(alpha)
+    d = la / u
+    for _ in range(8):
+        x = u + d
+        step = (d * (u + 0.5 * d) - _erfcx_ratio(x, u) - la) / (x + 1.0 / x)
+        d -= step
+        if abs(step) <= 1e-16 * abs(d):
+            break
+    return d
+
+
+def crossing_at(model: ModelSpec, u: float, alpha: float,
+                zeta: float) -> tuple[float, float, float]:
+    """(t, z, slope) at the null quantile u: t = null_sf(u), z = z_of_t(t)
+    (+-inf past the window ends) and slope with the sign of dz/du.
+
+    With x the crossing quantile, x' = pdf(u)/(alpha*zeta*phi(x)) and
+    dz/du = sqrt(rho_bar/rho)*x' - 1/sqrt(rho) (normal) or (x'u - x)/u^2
+    (studentized), slope is log(sqrt(rho_bar)*x') or log(x'u/x).  At
+    zeta = 1, x comes from the log tail mass, so u stays finite where t
+    underflows, and past u = 30 the normal z, a small difference of
+    terms of size u, is formed from the gap x - u (`_tail_gap`).
+    """
+    rho = model.rho
+    if zeta == 1.0 and model.family == NORMAL and u > 30.0:
+        d = _tail_gap(u, alpha)
+        srb = math.sqrt(model.rho_bar)
+        z = srb / math.sqrt(rho) * d - math.sqrt(rho) * u / (1.0 + srb)
+        return sf.norm_sf(u), z, 0.5 * math.log1p(-rho) \
+            + _erfcx_ratio(u + d, u)
+    if zeta < 1.0:
+        t = null_sf(model, u)
+        x = _crossing_quantile(t, alpha, zeta)
+    else:
+        lsf = sf.norm_logsf(u) if model.family == NORMAL \
+            else sf.t_logsf(u, model.nu)
+        t = math.exp(lsf)
+        lq = lsf - math.log(alpha)
+        x = sf.norm_isf_log(lq) if lq < math.log(0.5) \
+            else _crossing_quantile(t, alpha, zeta)
+    if model.family == NORMAL:
+        z = math.sqrt(model.rho_bar / rho) * x - u / math.sqrt(rho)
+        if math.isinf(x):
+            return t, z, math.inf
+        if zeta == 1.0:
+            return t, z, 0.5 * math.log1p(-rho) + _erfcx_ratio(x, u)
+        return t, z, 0.5 * math.log1p(-rho) - math.log(alpha * zeta) \
+            + 0.5 * (x - u) * (x + u)
+    if not 0.0 < x < math.inf:
+        return t, x / u, math.inf
+    return t, x / u, sf.t_logpdf(u, model.nu) - math.log(alpha * zeta) \
+        + 0.5 * x * x + 0.5 * math.log(2.0 * math.pi) + math.log(u / x)
 
 
 def disturbance_cdf(model: ModelSpec, z: float) -> float:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import ExtremeConfig, ModelSpec, draw_disturbance, make_rng, \
-    _assemble
+    _assemble, _check_z
 from .stepup import lsd, lsu
 
 __all__ = ["SimulationPlan", "SimulationSummary", "ConvergenceRow",
@@ -57,6 +57,8 @@ class SimulationPlan:
             raise ValueError("replicates must be at least 1")
         if self.procedure not in ("lsu", "lsd"):
             raise ValueError("procedure must be 'lsu' or 'lsd'")
+        if self.conditional_z is not None:
+            _check_z(self.model, self.conditional_z)
 
 
 @dataclass(frozen=True)

@@ -635,10 +635,18 @@ def chi_quantile(p, nu: float):
     p = float(p)
     if not 0.0 < p < 1.0:
         raise ValueError("chi_quantile requires 0 < p < 1")
-    # Wilson-Hilferty seed for the chi-square quantile.
+    # Wilson-Hilferty seed for the chi-square quantile.  Far below it the
+    # cdf is a power law, P(a, x^2/2) ~ x^nu / (a Gamma(a) 2^a) with
+    # a = nu/2, whose inverse seeds the lower tail: Newton steps from
+    # above shrink x only by a factor 1 - 1/nu each.
     z = Phi_inv(p)
     seed = nu * (1.0 - 2.0 / (9.0 * nu) + z * math.sqrt(2.0 / (9.0 * nu))) ** 3
-    x = math.sqrt(max(seed, 1e-12))
+    if seed > 1e-12:
+        x = math.sqrt(seed)
+    else:
+        a = 0.5 * nu
+        x = math.exp((math.log(p) + math.log(a) + math.lgamma(a) + a * _LN2)
+                     / nu)
     return _solve_increasing(lambda v: chi_cdf(v, nu) - p,
                              lambda v: math.exp(_chi_logpdf(v, nu)),
                              x, max(4.0 * x, 1.0), 1e-14)

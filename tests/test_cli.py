@@ -145,6 +145,12 @@ class TestSimulate:
     def test_missing_rho(self, capsys):
         assert main(["simulate", "--model", "normal", "--n", "10"]) == 1
 
+    def test_conditional_z_outside_support(self, capsys):
+        assert main(["simulate", "--model", "t", "--nu", "5", "--n", "10",
+                     "--conditional-z", "-1.0"]) == 1
+        assert main(["simulate", "--model", "exponential", "--n", "10",
+                     "--conditional-z", "-0.5"]) == 1
+
 
 class TestCrossing:
     def test_full_null_report(self, capsys):

@@ -6,7 +6,6 @@ import pytest
 from lsufdr import specfun as sf
 from lsufdr.crossing import (
     CrossingReport,
-    critical_u_pair,
     crossing_report,
     distance_normal,
     solve_tangency_normal,
@@ -49,37 +48,30 @@ class TestDistance:
         assert np.all((gap > 0) == (dvals > 0))
 
 
-class TestCriticalPair:
-    def test_double_root_at_boundary(self):
-        alpha, zeta, rho = 0.05, 0.9, 0.4
-        ell = math.log(math.sqrt(1 - rho) / (alpha * zeta))
-        x0 = -math.sqrt(2 * ell)
-        u1, u2 = critical_u_pair(x0, zeta, alpha, rho)
-        assert u1 == pytest.approx(u2, abs=1e-6)
-        assert u1 == pytest.approx(-x0 / math.sqrt(rho), rel=1e-9)
-
-    def test_no_real_pair_inside(self):
-        alpha, zeta, rho = 0.05, 0.9, 0.4
-        assert critical_u_pair(0.0, zeta, alpha, rho) is None
-
+class TestStationarity:
     def test_stationarity_by_finite_difference(self):
-        alpha, zeta, rho = 0.05, 0.7, 0.3
-        for x0 in (-3.0, -2.5, -4.0):
-            pair = critical_u_pair(x0, zeta, alpha, rho)
-            if pair is None:
-                continue
-            for u in pair:
-                h = 1e-5
-                der = (distance_normal(u + h, x0, zeta, alpha, rho)
-                       - distance_normal(u - h, x0, zeta, alpha, rho)) / (2 * h)
-                assert abs(der) < 1e-8
-
-    def test_always_real_when_correlation_extreme(self):
-        # 1 - rho below (alpha*zeta)^2 makes the log negative
-        alpha, zeta, rho = 0.05, 0.9, 0.999
-        assert math.sqrt(1 - rho) < alpha * zeta
-        for x0 in (-5.0, 0.0, 5.0):
-            assert critical_u_pair(x0, zeta, alpha, rho) is not None
+        # z(u), formed through the public z_of_t at t = sf(u), is flat at
+        # the reported tangent and turns over there
+        cases = ((ModelSpec.normal(0.5), 0.1, 0.9999),
+                 (ModelSpec.normal(0.3), 0.05, 1.0),
+                 (ModelSpec.student_t(5.0), 0.05, 1.0),
+                 (ModelSpec.student_t(2.0), 0.1, 0.99))
+        for spec, alpha, zeta in cases:
+            rep = crossing_report(spec, alpha, zeta)
+            assert rep.z_at_tangent is not None, (spec, alpha, zeta)
+            if spec.family == "normal":
+                def z(u):
+                    return z_of_t(spec, sf.norm_sf(u), alpha, zeta)
+            else:
+                def z(u):
+                    return z_of_t(spec, sf.t_sf(u, spec.nu), alpha, zeta)
+            u2 = rep.u2
+            assert z(u2) == pytest.approx(rep.z_at_tangent, rel=1e-12)
+            h = 1e-5 * max(1.0, u2)
+            der = (z(u2 + h) - z(u2 - h)) / (2 * h)
+            assert abs(der) < 1e-7, (spec, alpha, zeta, der)
+            step = 1e-2 * max(1.0, u2)
+            assert z(u2 - step) < rep.z_at_tangent > z(u2 + step)
 
 
 class TestTangencyNormal:
@@ -228,22 +220,36 @@ class TestCrossingReport:
             zeta = float(rng.choice([rng.uniform(0.3, 0.95),
                                      rng.uniform(0.999, 0.99999)]))
             rho = float(rng.uniform(0.05, 0.995))
-            cases.append((alpha, zeta, rho))
-        for alpha, zeta, rho in cases:
-            spec = ModelSpec.normal(rho)
+            cases.append((ModelSpec.normal(rho), alpha, zeta))
+        for _ in range(12):
+            alpha = float(rng.uniform(0.02, 0.3))
+            zeta = float(rng.choice([rng.uniform(0.3, 0.95),
+                                     rng.uniform(0.999, 0.99999)]))
+            nu = float(10.0 ** rng.uniform(0.0, 3.0))
+            cases.append((ModelSpec.student_t(nu), alpha, zeta))
+        for spec, alpha, zeta in cases:
             rep = crossing_report(spec, alpha, zeta)
             t_lower, t_upper = rep.t_lower, rep.t_upper
             n_t = 3000
             ts = np.linspace(t_lower, t_upper, n_t + 1)[1:-1]
             res = (t_upper - t_lower) / n_t
-            zs = np.linspace(-7.0, 7.0, 160)
+            if spec.family == "normal":
+                zs = np.linspace(-7.0, 7.0, 160)
+                us = None
+            else:
+                # disturbance s > 0; the null quantiles do not depend on s
+                zs = np.linspace(0.02, 3.0, 150)
+                us = np.array([sf.t_isf(float(t), spec.nu) for t in ts])
             dz = zs[1] - zs[0]
             z_star = rep.z_at_tangent
             for z in zs:
                 if z_star is not None and abs(z - z_star) < 2 * dz:
                     continue  # resolution-limited near the tangent
-                gap = mixed_cdf_grid_normal(rho, ts, float(z), zeta) \
-                    - ts / alpha
+                if us is None:
+                    cdf = mixed_cdf_grid_normal(spec.rho, ts, float(z), zeta)
+                else:
+                    cdf = (1.0 - zeta) + zeta * np.asarray(sf.norm_sf(z * us))
+                gap = cdf - ts / alpha
                 sign = np.concatenate([[True], gap > 0])  # above at t_lower
                 down = np.nonzero(sign[:-1] & ~sign[1:])[0]
                 if down.size == 0:
@@ -251,7 +257,19 @@ class TestCrossingReport:
                 lcp = ts[max(down[-1] - 1, 0)]
                 inside_gap = (rep.t1 + 3 * res < lcp < rep.t2 - 3 * res)
                 assert not inside_gap, \
-                    (alpha, zeta, rho, float(z), lcp, rep.t1, rep.t2)
+                    (spec, alpha, zeta, float(z), lcp, rep.t1, rep.t2)
+
+
+    def test_heavy_tail_window_spanning_decades(self):
+        # at nu = 0.5 and zeta = 1 - 1e-7 the u window runs from 165 to
+        # 4e15 while the tangent sits near u = 390; the report matches
+        # the fully-null tangent it converges to
+        spec = ModelSpec.student_t(0.5)
+        rep = crossing_report(spec, 0.05, 1.0 - 1e-7)
+        full = crossing_report(spec, 0.05, 1.0)
+        assert rep.has_tangent
+        assert rep.t2 == pytest.approx(full.t2, rel=1e-6)
+        assert rep.z_at_tangent == pytest.approx(full.z_at_tangent, rel=1e-6)
 
 
 class TestReportInvariants:
@@ -263,3 +281,71 @@ class TestReportInvariants:
             rep = crossing_report(spec, alpha, zeta)
             assert rep.t_lower <= rep.t1 <= rep.t2 <= rep.t_upper
             assert rep.has_tangent == (rep.t1 < rep.t2)
+
+
+class TestFullyNullOracle:
+    """z* at zeta = 1 against mpmath at 50 digits.
+
+    At small rho the normal z = (sqrt(1-rho)*x - u)/sqrt(rho) is a small
+    difference of terms of size u, with the tangent near
+    u = sqrt(2 log(1/alpha)/rho), about 7700 at rho = 1e-7.
+    """
+
+    @pytest.fixture(scope="class")
+    def mp(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            yield mpmath
+
+    @staticmethod
+    def crossing_quantile(mp, lq, x0):
+        # x with log(1 - Phi(x)) = lq
+        return mp.findroot(
+            lambda x: mp.log(mp.erfc(x / mp.sqrt(2)) / 2) - lq, x0)
+
+    @pytest.mark.parametrize("rho", [1e-2, 1e-4, 1e-6, 1e-7])
+    def test_normal(self, mp, rho):
+        alpha = mp.mpf("0.05")
+        rho_mp = mp.mpf(rho)
+
+        def x_of(u):
+            lq = mp.log(mp.erfc(u / mp.sqrt(2)) / 2) - mp.log(alpha)
+            return self.crossing_quantile(mp, lq, u + mp.log(alpha) / u)
+
+        def slope(u):
+            x = x_of(u)
+            return mp.log(1 - rho_mp) / 2 - mp.log(alpha) + (x * x - u * u) / 2
+
+        rep = crossing_report(ModelSpec.normal(rho), 0.05, 1.0)
+        u2 = mp.findroot(slope, mp.mpf(rep.u2))
+        z_star = (mp.sqrt(1 - rho_mp) * x_of(u2) - u2) / mp.sqrt(rho_mp)
+        assert abs(rep.z_at_tangent / z_star - 1) < 1e-10
+
+    @pytest.mark.parametrize("nu", [1.0, 1e5])
+    def test_t(self, mp, nu):
+        alpha = mp.mpf("0.05")
+        nu_mp = mp.mpf(nu)
+
+        def log_sf(u):
+            w = nu_mp / (nu_mp + u * u)
+            return mp.log(mp.betainc(nu_mp / 2, mp.mpf(1) / 2, 0, w,
+                                     regularized=True) / 2)
+
+        def log_pdf(u):
+            return (mp.loggamma((nu_mp + 1) / 2) - mp.loggamma(nu_mp / 2)
+                    - mp.log(mp.pi * nu_mp) / 2
+                    - (nu_mp + 1) / 2 * mp.log(1 + u * u / nu_mp))
+
+        def x_of(u):
+            lq = log_sf(u) - mp.log(alpha)
+            return self.crossing_quantile(mp, lq, mp.sqrt(-2 * lq))
+
+        def slope(u):
+            # log(x' u) - log(x), x' = t_pdf(u)/(alpha phi(x))
+            x = x_of(u)
+            return (log_pdf(u) - mp.log(alpha) + x * x / 2
+                    + mp.log(2 * mp.pi) / 2 + mp.log(u / x))
+
+        rep = crossing_report(ModelSpec.student_t(nu), 0.05, 1.0)
+        u2 = mp.findroot(slope, mp.mpf(rep.u2))
+        assert abs(rep.z_at_tangent / (x_of(u2) / u2) - 1) < 1e-10

@@ -48,6 +48,22 @@ class TestPlanValidation:
                            config=ExtremeConfig(n=10, zeta=0.5, seed=0),
                            alpha=0.1, replicates=5, procedure="bonferroni")
 
+    @pytest.mark.parametrize("model, z", [(ModelSpec.student_t(5.0), -1.0),
+                                          (ModelSpec.student_t(5.0), 0.0),
+                                          (ModelSpec.exponential(), -0.5)])
+    def test_conditional_z_outside_support(self, model, z):
+        # a disturbance the family cannot take has no conditional law
+        with pytest.raises(ValueError):
+            run(SimulationPlan(model=model,
+                               config=ExtremeConfig(n=10, zeta=0.5, seed=0),
+                               alpha=0.1, replicates=20, conditional_z=z))
+
+    def test_conditional_z_on_support_boundary(self):
+        plan = SimulationPlan(model=ModelSpec.exponential(),
+                              config=ExtremeConfig(n=10, zeta=0.5, seed=0),
+                              alpha=0.1, replicates=20, conditional_z=0.0)
+        assert run(plan).replicates == 20
+
 
 class TestRun:
     def test_summary_shape(self):

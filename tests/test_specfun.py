@@ -495,6 +495,22 @@ class TestMpmathOracle:
         ref = self.mp_chi_quantile(mp, 1e-100, 0.5)
         assert abs(sf.chi_quantile(1e-100, 0.5) / ref - 1) < 5e-14
 
+    @pytest.mark.parametrize("nu", [2.0, 3.0, 10.0])
+    def test_chi_quantile_far_below_seed(self, mp, nu):
+        # far below the clamped Wilson-Hilferty seed; the reference is
+        # solved from the power law x^nu / (a Gamma(a) 2^a), a = nu/2
+        a = mp.mpf(nu) / 2
+
+        def log_mass(s):
+            return mp.log(mp.gammainc(a, 0, mp.exp(2 * s) / 2,
+                                      regularized=True))
+
+        for p in (1e-20, 1e-50, 1e-100, 1e-200, 1e-300):
+            seed = (mp.log(p) + mp.log(a) + mp.loggamma(a)
+                    + a * mp.log(2)) / nu
+            ref = mp.exp(_mp_root(mp, log_mass, mp.log(p), seed))
+            assert abs(sf.chi_quantile(p, nu) / ref - 1) < 5e-14, p
+
     def test_chi_cdf_below_square_underflow(self, mp):
         # x*x/2 underflows below x = 1.5e-162; the cdf must not
         for nu in (0.5, 1.0, 3.0):
