@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun as sf
-from .crossing import _bisect, crossing_report
-from .models import EXPONENTIAL, ModelSpec, _check_alpha_zeta, crossing_at, \
-    disturbance_cdf, gamma_at_zero, null_pdf, z_of_t
+from .crossing import SolverError, crossing_report
+from .models import EXPONENTIAL, NORMAL, ModelSpec, _check_alpha_zeta, \
+    _check_z, crossing_at, disturbance_cdf, gamma_at_zero, null_pdf, z_of_t
 from .quadrature import integrate
 
 __all__ = [
@@ -30,8 +30,12 @@ __all__ = [
     "eer_fdr_normal",
     "eer_fdr_t",
     "limit_constants",
+    "t_of_z",
     "expected_false_rejections_all_true",
 ]
+
+
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -119,54 +123,150 @@ def eer_fdr_t(alpha: float, zeta: float, nu: float,
 # Conditional limits.
 
 
-def _largest_crossing(model: ModelSpec, alpha: float, zeta: float,
-                      z: float) -> float | None:
-    """Largest t in the admissible window with mixed cdf equal t/alpha.
+def _phi(x: np.ndarray) -> np.ndarray:
+    return np.exp(-0.5 * x * x) / _SQRT_2PI
 
-    Returns None when no crossing exists (possible only for zeta = 1).
-    Uses the monotone branches of z(t): above the tangent point the
-    crossing location decreases in z, below it as well, so each branch
-    bisects cleanly.
+
+def _branch_roots(model: ModelSpec, alpha: float, zeta: float,
+                  z: np.ndarray, a: float, b: float) -> np.ndarray:
+    """t at the u in (a, b) where z(u) = z, for z(u) rising on (a, b).
+
+    The crossing equation norm_sf(w) = p, with p = (sf(u) - t_lower)/
+    (alpha*zeta) and w the conditional cdf's argument, needs only
+    forward tails.  Its residual r = norm_sf(w) - p (Phi(w) - (1 - p)
+    where p > 1/2) has the sign of z(u) - z and stays smooth where z(u)
+    runs off to infinity.  A table of z(u) brackets each element and
+    starts it by interpolation; Halley steps that leave the bracket
+    bisect it, and only unconverged elements are evaluated again.
+    Where sf(u) underflows, u counts as above the root.
     """
-    t_lower = alpha * (1.0 - zeta)
+    if model.family == NORMAL:
+        c, s = math.sqrt(model.rho), math.sqrt(model.rho_bar)
+
+        def at(u, z):  # sf, pdf and d log pdf/du at u; w and dw/du
+            return sf.norm_sf(u), _phi(u), -u, (u + c * z) / s, 1.0 / s
+    else:
+        nu = model.nu
+
+        def at(u, z):
+            return sf.t_sf(u, nu), sf.t_pdf(u, nu), \
+                -(nu + 1.0) * u / (nu + u * u), z * u, z
+
+    # uniform nodes, and nodes 1e-2 to 1e-12 of the way from either end
+    ends = 10.0 ** -np.arange(12.0, 1.0, -1.0)
+    nodes = a + (b - a) * np.concatenate(
+        (ends, np.linspace(0.02, 0.98, 49), 1.0 - ends[::-1]))
+    z_nodes = np.array([crossing_at(model, u, alpha, zeta)[1]
+                        for u in nodes.tolist()])
+    ok = np.isfinite(z_nodes)
+    nodes, z_nodes = nodes[ok], np.maximum.accumulate(z_nodes[ok])
+    edges = np.concatenate(([a], nodes, [b]))
+    az, t_lower = alpha * zeta, alpha * (1.0 - zeta)
+    out = np.empty(z.shape)
+    # blocks bound the memory the temporaries of the solve take
+    for start in range(0, z.size, 16384):
+        zb = z[start:start + 16384]
+        k = np.searchsorted(z_nodes, zb)
+        lo, hi = edges[k], edges[k + 1]
+        u = np.clip(np.interp(zb, z_nodes, nodes), lo, hi)
+        idx, moved = np.arange(start, start + zb.size), np.zeros(zb.shape)
+        for _ in range(100):
+            t, f, dlog_f, w, dw = at(u, zb)
+            p = (t - t_lower) / az
+            near = p <= 0.5
+            tail = sf.norm_sf(np.where(near, w, -w))
+            r = np.where(near, tail - p, (alpha - t) / az - tail)
+            r[t == 0.0] = np.nan  # underflow: bisect toward the root
+            fw = _phi(w) * dw
+            r1, r2 = f / az - fw, dlog_f * f / az + w * fw * dw
+            step = r * r1 / (r1 * r1 - 0.5 * r * r2)
+            lo, hi = np.where(r < 0.0, u, lo), np.where(r < 0.0, hi, u)
+            new = u - step
+            inside = (lo <= new) & (new <= hi)
+            # bisect unless the step makes progress: in rounding noise
+            # steps can hop between the two ends of the bracket
+            new = np.where((lo < new) & (new < hi), new, 0.5 * (lo + hi))
+            # a small Halley step leaves an error of about its cube, but
+            # near a double root the steps shrink only by a ratio
+            # step/moved, and the error left is about step times that
+            # ratio; steps of a few ulps may not move u at all
+            scale, size = np.maximum(np.abs(u), 1.0), np.abs(step)
+            done = (inside & (size <= 1e-10 * scale)
+                    & ((size * size <= 1e-16 * scale * moved)
+                       | (size <= 1e-15 * scale))) \
+                | (hi - lo <= 1e-15 * scale)
+            # t = t_lower + alpha*zeta*norm_sf(w) at the root, to first
+            # order
+            shift = fw * np.where(inside, step, u - new)
+            out[idx[done]] = np.where(near, t_lower + az * (tail + shift),
+                                      alpha - az * (tail - shift))[done]
+            if done.all():
+                break
+            keep = ~done
+            moved = np.abs(u - new)[keep]
+            idx, u, lo, hi, zb = idx[keep], new[keep], lo[keep], hi[keep], \
+                zb[keep]
+        else:
+            raise SolverError(f"t_of_z: {idx.size} roots unconverged after "
+                              f"100 steps (alpha={alpha}, zeta={zeta}, "
+                              f"model={model})")
+    return out
+
+
+def t_of_z(model: ModelSpec, alpha: float, zeta: float, z) -> np.ndarray:
+    """Largest crossing point t(z) of the mixed cdf with t/alpha, on arrays.
+
+    Returns an array of the shape of z.  One `crossing_report` splits
+    the null quantile u into branches on which z(u) rises: (u_lo, u2)
+    for z < z*, (u1, u_hi) past it, or the whole window without a
+    tangent.  At zeta = 1 no z >= z* crosses, and t is 0 there.  z = inf
+    gives t_lower, -inf t_upper, and nan raises ValueError.  Below the
+    smallest normal double t has only a small absolute error.
+    """
+    alpha, zeta = _check_alpha_zeta(alpha, zeta)
+    z = np.asarray(z, dtype=np.float64)
+    flat = z.ravel()
+    if np.isnan(flat).any():
+        raise ValueError("t_of_z: disturbance value is nan")
+    if flat.size:
+        _check_z(model, flat.min())
     if model.family == EXPONENTIAL:
         # the null cdf is linear on [0, 1/2], so the crossing equation
-        # is linear in t below alpha <= 1/2 and solves in closed form;
-        # at zeta = 1 both lines pass through the origin and never
-        # cross again
+        # is linear in t below alpha <= 1/2; at zeta = 1 both lines pass
+        # through the origin and never cross again
         if zeta == 1.0:
-            return None
-        return alpha * (1.0 - zeta) / (1.0 - 2.0 * alpha * zeta * math.exp(-z))
-
+            return np.zeros(z.shape)
+        return alpha * (1.0 - zeta) / (1.0 - 2.0 * alpha * zeta * np.exp(-z))
     rep = crossing_report(model, alpha, zeta)
-    if rep.has_tangent and rep.z_at_tangent is not None:
-        if z < rep.z_at_tangent:
-            a, b = max(rep.t2, 5e-324), rep.t_upper
-        else:
-            if zeta == 1.0:
-                return None
-            a, b = t_lower, rep.t1
+    (u_lo, u_hi), finite = rep.u_window, np.isfinite(flat)
+    t = np.where(flat == -np.inf, rep.t_upper, rep.t_lower)
+    if rep.has_tangent:
+        upper = finite & (flat < rep.z_at_tangent)
+        branches = [(upper, u_lo, rep.u2), (finite & ~upper, rep.u1, u_hi)]
     else:
-        a, b = t_lower, rep.t_upper
-    a = a * (1.0 + 1e-15) + 1e-320
-    b = b * (1.0 - 1e-15)
-    if not a < b:
-        return None
-    # z(t) - z is positive at the low end of the branch
-    return _bisect(lambda t: z_of_t(model, t, alpha, zeta) - z, a, b, fa=1.0)
+        branches = [(finite, u_lo, u_hi)]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for mask, a, b in branches:
+            if mask.any() and a < b:
+                t[mask] = _branch_roots(model, alpha, zeta, flat[mask], a, b)
+    return t.reshape(z.shape)
+
+
+def t_of_z_normal(alpha: float, zeta: float, rho: float, z) -> np.ndarray:
+    """`t_of_z` for the normal family with correlation rho."""
+    return t_of_z(ModelSpec.normal(rho), alpha, zeta, z)
 
 
 def conditional_limits(model: ModelSpec, alpha: float, zeta: float,
                        z: float) -> ConditionalLimit:
     """Limits of V_n/n and the FDP conditionally on Z = z."""
     alpha, zeta = _check_alpha_zeta(alpha, zeta)
+    t = float(t_of_z(model, alpha, zeta, z))
     if zeta == 1.0:
-        t = _largest_crossing(model, alpha, zeta, z)
-        if t is None:
+        if t == 0.0:
             return ConditionalLimit(v_over_n=0.0,
                                     fdp_limit=alpha * gamma_at_zero(model, z))
         return ConditionalLimit(v_over_n=t / alpha, fdp_limit=1.0)
-    t = _largest_crossing(model, alpha, zeta, z)
     return ConditionalLimit(v_over_n=t / alpha - (1.0 - zeta),
                             fdp_limit=1.0 - alpha * (1.0 - zeta) / t)
 
@@ -253,45 +353,3 @@ def expected_false_rejections_all_true(alpha: float, gamma: float) -> float:
     if prod >= 1.0 - 1e-15:
         return math.inf
     return prod / (1.0 - prod) ** 2
-
-
-# ---------------------------------------------------------------------------
-# Vectorized crossing locations for the normal family (Monte Carlo
-# integration of conditional limits over many disturbance draws).
-
-
-def t_of_z_normal(alpha: float, zeta: float, rho: float, z) -> np.ndarray:
-    """Vectorized largest crossing point t(z) for the normal family.
-
-    Requires zeta < 1 so every disturbance value has a crossing.
-    """
-    alpha = float(alpha)
-    zeta = float(zeta)
-    if not 0.0 < zeta < 1.0:
-        raise ValueError("t_of_z_normal requires zeta in (0, 1)")
-    z = np.asarray(z, dtype=np.float64)
-    model = ModelSpec.normal(rho)
-    rep = crossing_report(model, alpha, zeta)
-    t_lower = rep.t_lower
-    if rep.has_tangent and rep.z_at_tangent is not None:
-        upper_branch = z < rep.z_at_tangent
-        lo = np.where(upper_branch, rep.t2, t_lower)
-        hi = np.where(upper_branch, rep.t_upper, rep.t1)
-    else:
-        lo = np.full(z.shape, t_lower)
-        hi = np.full(z.shape, rep.t_upper)
-    lo = lo * (1.0 + 1e-15) + 1e-320
-    hi = hi * (1.0 - 1e-15)
-    rb = 1.0 - rho
-    c1 = math.sqrt(rb / rho)
-    c2 = 1.0 / math.sqrt(rho)
-    for _ in range(72):
-        mid = 0.5 * (lo + hi)
-        # raw rational quantile: its 1e-9 relative error is far below
-        # the bisection resolution actually used
-        x0 = c1 * sf._ppf_raw((1.0 - mid / alpha) / zeta) \
-            + c2 * sf._ppf_raw(mid)
-        above = x0 > z
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
-    return 0.5 * (lo + hi)

@@ -10,9 +10,9 @@ estimate, and a fixed evaluation budget bounds the work: exhausting it
 raises `QuadratureError` instead of returning an untrusted value.
 
 Endpoints are never evaluated, which matters here because the EER/FDR
-integrands have unbounded derivatives at interval ends.  `integrate`
-accepts a list of interior split points so known kinks get their own
-panels up front.
+integrands have unbounded derivatives at interval ends.  The interval
+starts as two panels split at its midpoint, plus any interior split
+points the caller lists so known kinks get their own panels up front.
 """
 
 from __future__ import annotations
@@ -97,7 +97,10 @@ def integrate(f: Callable[[float], float], a: float, b: float,
                                   f"on [{lo!r}, {hi!r}]")
         return -err, lo, hi, val
 
-    cuts = sorted({a, b, *(float(p) for p in points if a < float(p) < b)})
+    # two panels at the least: one GK15 panel's error estimate can miss
+    # an endpoint singularity that its halves expose
+    cuts = sorted({a, 0.5 * (a + b), b,
+                   *(float(p) for p in points if a < float(p) < b)})
     heap = [panel(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
     heapq.heapify(heap)
     evals = 15 * len(heap)

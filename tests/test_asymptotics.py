@@ -11,10 +11,11 @@ from lsufdr.asymptotics import (
     expected_false_rejections_all_true,
     g_distributions,
     limit_constants,
+    t_of_z,
     t_of_z_normal,
 )
 from lsufdr.crossing import crossing_report
-from lsufdr.models import ModelSpec, gamma_at_zero
+from lsufdr.models import ModelSpec, gamma_at_zero, null_sf
 
 
 class TestLimitConstants:
@@ -112,6 +113,11 @@ class TestConditionalLimits:
             t = (cl.v_over_n + (1 - zeta)) * alpha
             assert abs(f_infinity_mixed(spec, t, z, zeta) - t / alpha) < 1e-9
 
+    def test_nan_disturbance_rejected(self):
+        # a nan once ended every bisection at t_lower
+        with pytest.raises(ValueError, match="nan"):
+            conditional_limits(ModelSpec.normal(0.5), 0.05, 0.5, math.nan)
+
     def test_exponential_closed_form(self):
         alpha, zeta, z = 0.1, 0.5, 0.8
         cl = conditional_limits(ModelSpec.exponential(), alpha, zeta, z)
@@ -119,6 +125,182 @@ class TestConditionalLimits:
         assert cl.v_over_n == pytest.approx(t / alpha - (1 - zeta), rel=1e-12)
         assert cl.fdp_limit == pytest.approx(1 - alpha * (1 - zeta) / t,
                                              rel=1e-12)
+
+
+class TestTOfZ:
+    """The vector largest crossing point t(z) of all three families."""
+
+    MODELS = [ModelSpec.normal(0.5), ModelSpec.normal(0.9),
+              ModelSpec.student_t(10.0)]
+
+    @staticmethod
+    def disturbances(model, alpha, zeta):
+        # both branches when there is a tangent
+        rep = crossing_report(model, alpha, zeta)
+        center = rep.z_at_tangent if rep.has_tangent \
+            else 0.0 if model.family == "normal" else 1.0
+        z = center + np.array([-2.0, -0.5, -0.1, -0.01, -1e-3, 1e-3, 0.01,
+                               0.1, 0.5, 2.0])
+        return rep, z if model.family == "normal" else z[z > 0.0]
+
+    @pytest.mark.parametrize("zeta", [0.5, 0.99, 1.0])
+    @pytest.mark.parametrize("model", MODELS)
+    def test_array_equals_scalar_calls(self, model, zeta):
+        _, z = self.disturbances(model, 0.05, zeta)
+        t = t_of_z(model, 0.05, zeta, z.reshape(-1, 1))
+        assert t.shape == (z.size, 1)
+        scalar = [float(t_of_z(model, 0.05, zeta, v)) for v in z.tolist()]
+        assert t.ravel().tolist() == scalar
+
+    def test_normal_wrapper(self):
+        z = np.linspace(-3.0, 3.0, 7)
+        assert np.array_equal(t_of_z_normal(0.05, 0.5, 0.5, z),
+                              t_of_z(ModelSpec.normal(0.5), 0.05, 0.5, z))
+
+    def test_near_t_lower_without_warning(self):
+        # forming (1 - t/alpha)/zeta rounded to 1 here and took log(0)
+        # in the raw quantile, a RuntimeWarning
+        t = t_of_z_normal(0.05, 0.999, 0.5, [3.0])
+        rep = crossing_report(ModelSpec.normal(0.5), 0.05, 0.999)
+        assert rep.t_lower < t[0] < rep.t_upper
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_no_crossing_above_tangent_at_zeta_one(self, model):
+        rep, z = self.disturbances(model, 0.05, 1.0)
+        t = t_of_z(model, 0.05, 1.0, z)
+        above = z >= rep.z_at_tangent
+        assert np.all(t[above] == 0.0)
+        assert np.all(t[~above] > 0.0)
+        assert t_of_z(model, 0.05, 1.0, rep.z_at_tangent) == 0.0
+
+    def test_infinite_disturbance(self):
+        for model in self.MODELS:
+            for zeta in (0.5, 1.0):
+                rep = crossing_report(model, 0.05, zeta)
+                assert t_of_z(model, 0.05, zeta, math.inf) == rep.t_lower
+        rep = crossing_report(ModelSpec.normal(0.5), 0.05, 0.5)
+        assert t_of_z(ModelSpec.normal(0.5), 0.05, 0.5, -math.inf) \
+            == rep.t_upper
+
+    def test_nan_rejected(self):
+        for model in (*self.MODELS, ModelSpec.exponential()):
+            with pytest.raises(ValueError, match="nan"):
+                t_of_z(model, 0.05, 0.5, [0.5, math.nan])
+
+    def test_support_enforced(self):
+        with pytest.raises(ValueError):
+            t_of_z(ModelSpec.student_t(5.0), 0.05, 0.5, [1.0, 0.0])
+        with pytest.raises(ValueError):
+            t_of_z(ModelSpec.exponential(), 0.05, 0.5, [-0.1])
+
+    def test_exponential_closed_form(self):
+        z = np.array([0.0, 0.8, 3.0, math.inf])
+        t = t_of_z(ModelSpec.exponential(), 0.1, 0.5, z)
+        assert np.allclose(t, 0.05 / (1.0 - 0.1 * np.exp(-z)), rtol=1e-15)
+        assert np.all(t_of_z(ModelSpec.exponential(), 0.1, 1.0, z) == 0.0)
+
+
+class TestTOfZMpmathOracle:
+    """t_of_z against the crossing equation solved at 50 digits.
+
+    The root of sf(u) = t_lower + alpha*zeta*norm_sf(w) passes a relative
+    error e of the computed tails on to t, times kappa = A/(pdf(u) - A)
+    with A = alpha*zeta*phi(w)*dw/du, which grows without bound toward
+    the tangent.  The tolerance is 1e-11, or 2*kappa*e where that is
+    larger, e being the package's null tail error at the root plus the
+    3e-13 of the array normal tail.  2*kappa*e passes 1e-11 at zeta = 1
+    near z* for rho = 0.01, and at nu = 1e5, where t_sf is good to 2e-11.
+    """
+
+    @pytest.fixture(scope="class")
+    def mp(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            yield mpmath
+
+    @staticmethod
+    def reference(mp, model, alpha, zeta, z, t, last_branch):
+        """(t, kappa, e) at the root in u bracketed around isf(t).
+
+        last_branch: the root lies on the branch that ends at t_lower.
+        """
+        alpha, zeta, z = mp.mpf(alpha), mp.mpf(zeta), mp.mpf(z)
+        t_lower, az = alpha * (1 - zeta), alpha * zeta
+
+        def norm_sf(x):
+            return mp.erfc(x / mp.sqrt(2)) / 2
+
+        if model.family == "normal":
+            rho = mp.mpf(model.rho)
+            dw = 1 / mp.sqrt(1 - rho)
+            null_sf_mp, null_pdf, isf = norm_sf, mp.npdf, sf.norm_isf
+
+            def w_of(u):
+                return (u + mp.sqrt(rho) * z) * dw
+        else:
+            nu = mp.mpf(model.nu)
+            dw = z
+
+            def isf(q):
+                return sf.t_isf(q, model.nu)
+
+            def null_sf_mp(u):
+                return mp.betainc(nu / 2, mp.mpf(1) / 2, 0, nu / (nu + u * u),
+                                  regularized=True) / 2
+
+            def null_pdf(u):
+                return mp.exp(mp.loggamma((nu + 1) / 2) - mp.loggamma(nu / 2)
+                              - (nu + 1) / 2 * mp.log1p(u * u / nu)) \
+                    / mp.sqrt(nu * mp.pi)
+
+            def w_of(u):
+                return z * u
+
+        def residual(u):
+            return (null_sf_mp(u) - t_lower) / (az * norm_sf(w_of(u))) - 1
+
+        u0 = isf(t)
+        if zeta < 1:
+            # where the root is too close to the u of t_lower for 50 digits
+            # to resolve p, t is t_lower + alpha*zeta*norm_sf(w) there
+            u_hi = mp.findroot(lambda u: null_sf_mp(u) / t_lower - 1,
+                               isf(float(t_lower)))
+            excess = az * norm_sf(w_of(u_hi))
+            if last_branch and excess < 1e-20 * t_lower:
+                return t_lower + excess, 0.0, 0.0
+
+            # in s = log(u_hi - u) the log residual is near linear up to
+            # u_hi, where the root may sit
+            def log_residual(s):
+                return mp.log(residual(u_hi - mp.exp(s)) + 1)
+
+            s = mp.findroot(log_residual, (
+                mp.log(max(u_hi - u0 * (1 + 1e-6), 1e-30 * u_hi)),
+                mp.log(u_hi - u0 * (1 - 1e-6))), solver="anderson",
+                verify=False)
+            u = u_hi - mp.exp(s)
+        else:
+            u = mp.findroot(residual, (u0 * (1 - 1e-6), u0 * (1 + 1e-6)),
+                            solver="anderson", verify=False)
+        assert abs(residual(u)) < 1e-25
+        a = az * mp.npdf(w_of(u)) * dw
+        kappa = abs(a / (null_pdf(u) - a))
+        e = abs(null_sf(model, float(u)) / null_sf_mp(u) - 1) + 3e-13
+        return t_lower + az * norm_sf(w_of(u)), float(kappa), float(e)
+
+    @pytest.mark.parametrize("zeta", [0.5, 0.99, 0.999, 1.0])
+    @pytest.mark.parametrize("model", [
+        ModelSpec.normal(0.01), ModelSpec.normal(0.5), ModelSpec.normal(0.9),
+        ModelSpec.student_t(1.0), ModelSpec.student_t(10.0),
+        ModelSpec.student_t(1e5)])
+    def test_relative_error(self, mp, model, zeta):
+        rep, z = TestTOfZ.disturbances(model, 0.05, zeta)
+        for v, t in zip(z.tolist(), t_of_z(model, 0.05, zeta, z).tolist()):
+            if zeta == 1.0 and v >= rep.z_at_tangent:
+                continue
+            last = not rep.has_tangent or v >= rep.z_at_tangent
+            ref, kappa, e = self.reference(mp, model, 0.05, zeta, v, t, last)
+            assert abs(t / ref - 1) <= max(1e-11, 2 * kappa * e), v
 
 
 class TestGDistributions:
@@ -228,6 +410,15 @@ class TestQuadratureFormulas:
     def test_quadrature_error_below_request(self):
         r = eer_fdr_normal(0.05, 0.5, 0.5, tol=1e-8)
         assert r.quadrature_error < 1e-8
+
+    def test_error_estimate_at_power_law_endpoint(self):
+        # the weight rises like (u - u_lo)^0.54 from the lower end of
+        # [1.295, 2.110]; one GK15 panel over it estimated 4.6e-9 for an
+        # error of 1.24e-8
+        args = (0.09769483773572457, 1.0, 0.6495567565618708)
+        r = eer_fdr_normal(*args)
+        err = abs(r.eer - eer_fdr_normal(*args, tol=1e-13).eer)
+        assert err <= r.quadrature_error < 1e-8
 
     def test_fdr_scan_band(self):
         # regression property: the FDR stays within [zeta*alpha/2,

@@ -78,8 +78,8 @@ class TestIntegrate:
 
 
 def test_curve_records_quadrature_error(tmp_path, monkeypatch, capsys):
-    # a budget of one panel leaves no room to split, so the first limit
-    # integral that needs a split fails
+    # the two starting panels spend a budget of 15 evaluations, so the
+    # first limit integral that needs a split fails
     monkeypatch.setattr(quadrature, "_MAX_EVALS", 15)
     out = tmp_path / "curve.json"
     code = main(["curve", "--model", "normal", "--alpha", "0.05",

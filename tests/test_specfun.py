@@ -524,3 +524,13 @@ class TestMpmathOracle:
     def test_chi_quantile_below_square_underflow(self, mp, p, nu):
         ref = self.mp_chi_quantile(mp, p, nu)
         assert abs(sf.chi_quantile(p, nu) / ref - 1) < 5e-14
+
+    @pytest.mark.parametrize("p, nu", [(1e-300, 0.5), (1e-300, 0.1),
+                                       (1e-200, 0.3)])
+    def test_chi_quantile_below_double_range(self, mp, p, nu):
+        # the cdf at the smallest subnormal double already exceeds p, so
+        # the quantile rounds to 0; the solver once took log(0) here
+        tiny = mp.mpf(5e-324)
+        assert mp.gammainc(mp.mpf(nu) / 2, 0, tiny * tiny / 2,
+                           regularized=True) > p
+        assert sf.chi_quantile(p, nu) == 0.0
