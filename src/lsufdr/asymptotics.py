@@ -263,7 +263,10 @@ def conditional_limits(model: ModelSpec, alpha: float, zeta: float,
     alpha, zeta = _check_alpha_zeta(alpha, zeta)
     t = float(t_of_z(model, alpha, zeta, z))
     if zeta == 1.0:
-        if t == 0.0:
+        # t is 0 both without a crossing, z >= z*, and where the crossing
+        # lies below the double range
+        if model.family == EXPONENTIAL \
+                or z >= crossing_report(model, alpha, zeta).z_at_tangent:
             return ConditionalLimit(v_over_n=0.0,
                                     fdp_limit=alpha * gamma_at_zero(model, z))
         return ConditionalLimit(v_over_n=t / alpha, fdp_limit=1.0)

@@ -113,6 +113,15 @@ class TestConditionalLimits:
             t = (cl.v_over_n + (1 - zeta)) * alpha
             assert abs(f_infinity_mixed(spec, t, z, zeta) - t / alpha) < 1e-9
 
+    def test_full_null_crossing_below_double_range(self):
+        # at rho = 1e-3 the tangent sits near u = 77, so crossings just
+        # below z* lie where t underflows to 0; all of them are false
+        model = ModelSpec.normal(1e-3)
+        rep = crossing_report(model, 0.05, 1.0)
+        cl = conditional_limits(model, 0.05, 1.0, rep.z_at_tangent - 1e-4)
+        assert cl.v_over_n == 0.0
+        assert cl.fdp_limit == 1.0
+
     def test_nan_disturbance_rejected(self):
         # a nan once ended every bisection at t_lower
         with pytest.raises(ValueError, match="nan"):
