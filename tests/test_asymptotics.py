@@ -308,6 +308,10 @@ class TestTOfZMpmathOracle:
             if zeta == 1.0 and v >= rep.z_at_tangent:
                 continue
             last = not rep.has_tangent or v >= rep.z_at_tangent
+            # the largest crossing lies on its branch: (t2, t_upper) below
+            # z*, (t_lower, t1) past it
+            if rep.has_tangent:
+                assert t <= rep.t1 if last else rep.t2 <= t
             ref, kappa, e = self.reference(mp, model, 0.05, zeta, v, t, last)
             assert abs(t / ref - 1) <= max(1e-11, 2 * kappa * e), v
 
