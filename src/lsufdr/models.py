@@ -358,8 +358,9 @@ def disturbance_cdf(model: ModelSpec, z: float) -> float:
 # Sampling.
 
 
-# _uniform_open's range, and the margin by which the tail sampler lowers
-# its uniform threshold against rounding in the p-value kernels
+# uniforms are clipped to [_U_TINY, 1 - _U_TINY] so inverse-cdf
+# transforms stay finite; the tail sampler lowers its uniform threshold
+# by _U_MARGIN against rounding in the p-value kernels
 _U_TINY = 1e-16
 _U_MARGIN = 1e-9
 
@@ -370,17 +371,24 @@ def make_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _uniform_open(rng: np.random.Generator, size=None):
-    # uniforms in the open interval so inverse-cdf transforms stay finite
-    u = rng.random(size)
-    if size is None:
-        return min(max(u, _U_TINY), 1.0 - _U_TINY)
-    return u.clip(_U_TINY, 1.0 - _U_TINY)
+def _rekey(rng: np.random.Generator, seed: int, *key: int) -> None:
+    """Restart rng, a Philox generator, where make_rng(seed, *key) starts.
+
+    Cheaper than building a generator: only the key and counter are set.
+    """
+    ss = np.random.SeedSequence(entropy=(int(seed), *map(int, key)))
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, np.uint64),
+                  "key": ss.generate_state(2, np.uint64)},
+        "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
+        "has_uint32": 0, "uinteger": 0,
+    }
 
 
 def draw_disturbance(model: ModelSpec, rng: np.random.Generator) -> float:
     """One draw of Z by inverse-cdf transform."""
-    u = _uniform_open(rng)
+    u = min(max(rng.random(), _U_TINY), 1.0 - _U_TINY)
     if model.family == NORMAL:
         return float(sf.Phi_inv(u))
     if model.family == STUDENT_T:
@@ -388,8 +396,9 @@ def draw_disturbance(model: ModelSpec, rng: np.random.Generator) -> float:
     return -math.log1p(-u)
 
 
-def _null_pvalues(model: ModelSpec, z: float, u: np.ndarray) -> np.ndarray:
-    """Null p-values of the uniforms u given z, decreasing in u."""
+def _null_pvalues(model: ModelSpec, z, u: np.ndarray) -> np.ndarray:
+    """Null p-values of the uniforms u given z (a float, or one value
+    per element of u), decreasing in u."""
     if model.family == NORMAL:
         x = np.asarray(sf.Phi_inv(u))
         y = math.sqrt(model.rho_bar) * x - math.sqrt(model.rho) * z
@@ -400,8 +409,7 @@ def _null_pvalues(model: ModelSpec, z: float, u: np.ndarray) -> np.ndarray:
     return _laplace_sf(-np.log1p(-u) - z)
 
 
-def _shifted_pvalues(model: ModelSpec, z: float,
-                     u: np.ndarray) -> np.ndarray:
+def _shifted_pvalues(model: ModelSpec, z, u: np.ndarray) -> np.ndarray:
     """Exponential p-values under the location shift false_theta."""
     return _laplace_sf(model.false_theta - np.log1p(-u) - z)
 
@@ -418,15 +426,15 @@ def _t_critical(cutoff: float, nu: float) -> float:
     return sf.t_isf(cutoff, nu)
 
 
-def _uniform_threshold(model: ModelSpec, z: float, cutoff: float,
-                       shifted: bool = False) -> float:
+def _uniform_threshold(model: ModelSpec, z, cutoff: float,
+                       shifted: bool = False):
     """Smallest uniform whose exact p-value is at or below cutoff.
 
-    0 when cutoff >= 1.  `shifted` selects the exponential family's
-    false_theta alternatives instead of its nulls.
+    Elementwise in z; 0 when cutoff >= 1.  `shifted` selects the
+    exponential family's false_theta alternatives instead of its nulls.
     """
     if cutoff >= 1.0:
-        return 0.0
+        return np.zeros_like(z)
     if model.family == NORMAL:
         x = (sf.norm_isf(cutoff) + math.sqrt(model.rho) * z) \
             / math.sqrt(model.rho_bar)
@@ -437,18 +445,52 @@ def _uniform_threshold(model: ModelSpec, z: float, cutoff: float,
     w_c = math.log(0.5 / cutoff) if cutoff < 0.5 \
         else math.log(2.0 - 2.0 * cutoff)
     shift = z - model.false_theta if shifted else z
-    return max(-math.expm1(-(shift + w_c)), 0.0)
+    return np.maximum(-np.expm1(-(shift + w_c)), 0.0)
 
 
-def _tail(rng: np.random.Generator, size: int, pvalues, threshold: float,
-          cutoff: float) -> np.ndarray:
-    """p-values of `size` fresh uniforms, keeping those that can be <= cutoff.
+def _uniform_count(model: ModelSpec, config: ExtremeConfig) -> int:
+    """Uniforms a replicate draws after z: its n0 nulls, then its n1
+    falses if they carry the exponential family's location shift."""
+    return config.n if model.false_theta is not None else config.n0
 
-    Every uniform is drawn, so the generator ends in the same state
-    whatever the cutoff.  `pvalues` maps uniforms to p-values, element
-    by element, and is decreasing; uniforms below `threshold` less a
-    margin are dropped, unless the largest of them still maps to a
-    p-value at or below the cutoff, in which case all are kept.
+
+def _kept_pvalues(model: ModelSpec, z: np.ndarray, u: np.ndarray,
+                  cutoff: float, shifted: bool):
+    """(p, counts): the p-values of row i of u that can lie at or below
+    cutoff, row after row, and how many each row keeps.
+
+    The p-values are decreasing in u, so a row drops its uniforms below
+    the threshold less a margin, unless the largest one it drops still
+    maps to a p-value at or below the cutoff; then it keeps them all.
+    """
+    pvalues = _shifted_pvalues if shifted else _null_pvalues
+    lo = np.minimum(np.maximum(
+        _uniform_threshold(model, z, cutoff, shifted) - _U_MARGIN, _U_TINY),
+        1.0 - _U_TINY)
+    kept = u >= lo[:, None]
+    # u - kept is negative where kept, so a row's max is the largest
+    # uniform it drops, if any
+    top = (u - kept).max(axis=1, initial=-1.0)
+    short = np.flatnonzero(top > 0.0)
+    if short.size:
+        kept[short[pvalues(model, z[short], top[short]) <= cutoff]] = True
+    counts = np.count_nonzero(kept, axis=1)
+    p = pvalues(model, np.repeat(z, counts), u[kept])
+    if p.size and not 0.0 <= p.min() <= p.max() <= 1.0:
+        raise ValueError("p-values must lie in [0, 1]")
+    return p, counts
+
+
+def _sample_block(model: ModelSpec, config: ExtremeConfig, z: np.ndarray,
+                  u: np.ndarray, cutoff: float):
+    """Candidate p-values of a block of replicates, one row each.
+
+    Row i of `u` (overwritten) holds the `_uniform_count` uniforms of
+    replicate i in draw order, and z[i] is its disturbance.  Returns
+    (p, nulls): row i of p holds the replicate's p-values that can lie
+    at or below `cutoff` (`_kept_pvalues`), nulls first, then falses
+    (exact zeros unless shifted), padded with +inf to the longest row;
+    nulls[i] counts its nulls.  The sample size stays config.n.
 
     Why the step-up at level alpha = cutoff loses nothing: a dropped
     p-value exceeds alpha up to the kernel's rounding.  If the largest
@@ -456,44 +498,37 @@ def _tail(rng: np.random.Generator, size: int, pvalues, threshold: float,
     so every rejected one is at or below alpha*(n-1)/n, which a dropped
     one could only reach through a relative rounding error above 1/n.
     """
-    if size == 0:
-        return np.empty(0, dtype=np.float64)
-    u = _uniform_open(rng, size)
-    lo = min(max(threshold - _U_MARGIN, _U_TINY), 1.0 - _U_TINY)
-    keep = u >= lo
-    kept = u[keep]
-    if kept.size == size:
-        return pvalues(u)
-    # u - keep is negative where kept, so its max is the largest dropped
-    # uniform; it rides along as the last element
-    p = pvalues(np.concatenate((kept, [(u - keep).max()])))
-    return p[:-1] if p[-1] > cutoff else pvalues(u)
+    n0 = config.n0
+    np.clip(u, _U_TINY, 1.0 - _U_TINY, out=u)
+    nulls, c0 = _kept_pvalues(model, z, u[:, :n0], cutoff, False)
+    if u.shape[1] > n0:
+        falses, c1 = _kept_pvalues(model, z, u[:, n0:], cutoff, True)
+    else:
+        falses, c1 = 0.0, np.full(u.shape[0], config.n1)
+    ends = c0 + c1
+    p = np.full((u.shape[0], ends.max(initial=0)), np.inf)
+    cols = np.arange(p.shape[1])
+    p[cols < c0[:, None]] = nulls
+    p[(cols >= c0[:, None]) & (cols < ends[:, None])] = falses
+    return p, c0
 
 
 def _assemble(model: ModelSpec, config: ExtremeConfig, z: float,
               rng: np.random.Generator, cutoff: float = 1.0):
-    """One replicate's p-values given z, nulls first.
+    """One replicate's p-values given z, nulls first: the one-row case
+    of `_sample_block` on uniforms drawn from rng.
 
-    Only the p-values that can lie at or below `cutoff` are kept; the
-    sample's `n` stays config.n.  The step-up procedures at level alpha
-    never reject a p-value above alpha, so cutoff = alpha gives them the
-    same rejections as the full vector (cutoff = 1).
+    cutoff = 1 gives the full vector.  The step-up procedures at level
+    alpha never reject a p-value above alpha, so cutoff = alpha gives
+    them the same rejections on a sample of the kept p-values.
     """
     from .stepup import PValueSample
 
-    nulls = _tail(rng, config.n0, lambda u: _null_pvalues(model, z, u),
-                  _uniform_threshold(model, z, cutoff), cutoff)
-    if model.family == EXPONENTIAL and model.false_theta is not None:
-        falses = _tail(rng, config.n1,
-                       lambda u: _shifted_pvalues(model, z, u),
-                       _uniform_threshold(model, z, cutoff, shifted=True),
-                       cutoff)
-    else:
-        falses = np.zeros(config.n1, dtype=np.float64)
-    pv = np.concatenate([nulls, falses])
-    labels = np.zeros(pv.size, dtype=bool)
-    labels[:nulls.size] = True
-    return PValueSample(pvalues=pv, is_true_null=labels, n=config.n)
+    u = rng.random((1, _uniform_count(model, config)))
+    p, nulls = _sample_block(model, config, np.array([float(z)]), u, cutoff)
+    return PValueSample(pvalues=p[0],
+                        is_true_null=np.arange(p.shape[1]) < nulls[0],
+                        n=config.n)
 
 
 def sample_pvalues(model: ModelSpec, config: ExtremeConfig):

@@ -16,6 +16,15 @@ checked on the largest uniform it drops); the step-up then compares
 these candidates with the critical values i*alpha/n of the full n.  The
 rejection counts equal those of the full p-value vector on the same
 substream, and about alpha*n p-values are sorted in place of n.
+
+Within a chunk, replicates run in blocks of up to _BLOCK_ELEMS uniforms
+(one replicate per block once n reaches it).  Only the draws loop over
+the replicates of a block: one Philox generator is rekeyed to each
+replicate's substream and draws its disturbance and uniforms into a
+row.  Thresholds, p-values, the padded sort, the step-up counts and the
+histogram then run once per block, and the block's terms are added to
+the running sums in replicate order, so the sums are those of one
+replicate at a time.
 """
 
 from __future__ import annotations
@@ -28,14 +37,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import ExtremeConfig, ModelSpec, draw_disturbance, make_rng, \
-    _assemble, _check_z
-from .stepup import lsd, lsu
+    _assemble, _check_z, _rekey, _sample_block, _uniform_count
+# lsu and lsd stay bound here: perfbench/tracing.py wraps them
+from .stepup import _stepdown_count, _stepup_count, lsd, lsu  # noqa: F401
 
 __all__ = ["SimulationPlan", "SimulationSummary", "ConvergenceRow",
            "run", "convergence_study", "worker_count"]
 
 _HIST_BINS = 200
 _CHUNK = 2048
+# elements (replicates x n) of one block; at n >= _BLOCK_ELEMS a block
+# holds one replicate
+_BLOCK_ELEMS = 2 ** 16
 WORKERS_ENV = "LSUFDR_WORKERS"
 
 
@@ -111,28 +124,43 @@ def worker_count() -> int:
 
 def _simulate_chunk(plan: SimulationPlan, start: int, stop: int,
                     keep: bool):
-    n = plan.config.n
-    proc = lsu if plan.procedure == "lsu" else lsd
+    model, config, alpha = plan.model, plan.config, plan.alpha
+    n = config.n
+    count = _stepup_count if plan.procedure == "lsu" else _stepdown_count
+    rows = max(1, min(stop - start, _BLOCK_ELEMS // n))
+    u = np.empty((rows, _uniform_count(model, config)))
+    z = np.full(rows, math.nan if plan.conditional_z is None
+                else float(plan.conditional_z))
+    rng = make_rng(config.seed)  # rekeyed before every replicate
     sums = np.zeros(8)  # fdp, fdp^2, v/n, (v/n)^2, v, r/n, (r/n)^2, r
     hist = np.zeros(_HIST_BINS, dtype=np.int64)
     kept_v = np.empty(stop - start, dtype=np.int64) if keep else None
     kept_r = np.empty(stop - start, dtype=np.int64) if keep else None
-    for i in range(start, stop):
-        rng = make_rng(plan.config.seed, i)
-        if plan.conditional_z is None:
-            z = draw_disturbance(plan.model, rng)
-        else:
-            z = float(plan.conditional_z)
-        sample = _assemble(plan.model, plan.config, z, rng, plan.alpha)
-        res = proc(sample, plan.alpha)
-        fdp = res.fdp
-        v_n = res.v / n
-        r_n = res.m / n
-        sums += (fdp, fdp * fdp, v_n, v_n * v_n, res.v, r_n, r_n * r_n, res.m)
-        hist[min(int(fdp * _HIST_BINS), _HIST_BINS - 1)] += 1
+    for first in range(start, stop, rows):
+        size = min(rows, stop - first)
+        zb, ub = z[:size], u[:size]
+        for j in range(size):
+            _rekey(rng, config.seed, first + j)
+            if plan.conditional_z is None:
+                zb[j] = draw_disturbance(model, rng)
+            rng.random(out=ub[j])
+        p, nulls = _sample_block(model, config, zb, ub, alpha)
+        m = count(p, alpha, n)
+        # where m = 0 no p-value is at or below alpha/n, so none at 0
+        null = np.arange(p.shape[1]) < nulls[:, None]
+        v = np.count_nonzero(null & (p <= (m * alpha / n)[:, None]), axis=1)
+        fdp = np.where(m > 0, v / np.maximum(m, 1), 0.0)
+        v_n, r_n = v / n, m / n
+        terms = np.column_stack((fdp, fdp * fdp, v_n, v_n * v_n, v,
+                                 r_n, r_n * r_n, m))
+        # added to the running sum in replicate order, one row at a time
+        sums = np.add.accumulate(np.vstack((sums, terms)), axis=0)[-1]
+        hist += np.bincount(np.minimum((fdp * _HIST_BINS).astype(np.int64),
+                                       _HIST_BINS - 1),
+                            minlength=_HIST_BINS)
         if keep:
-            kept_v[i - start] = res.v
-            kept_r[i - start] = res.m
+            kept_v[first - start:first - start + size] = v
+            kept_r[first - start:first - start + size] = m
     return sums, hist, kept_v, kept_r
 
 

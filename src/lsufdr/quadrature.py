@@ -101,9 +101,13 @@ def integrate(f: Callable[[float], float], a: float, b: float,
     # an endpoint singularity that its halves expose
     cuts = sorted({a, 0.5 * (a + b), b,
                    *(float(p) for p in points if a < float(p) < b)})
+    evals = 15 * (len(cuts) - 1)
+    if evals > _MAX_EVALS:
+        raise QuadratureError(
+            f"quadrature on [{a!r}, {b!r}] needs {evals} evaluations for "
+            f"its starting panels, above its budget of {_MAX_EVALS}")
     heap = [panel(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
     heapq.heapify(heap)
-    evals = 15 * len(heap)
     retired = []
     err_sum = -sum(p[0] for p in heap)
     while heap:

@@ -140,18 +140,21 @@ def _erfcx_large(y):
 
 
 def _erfc_cody(x):
-    """Cody's erfc on a 1-d float64 array."""
+    """Cody's erfc on a 1-d float64 array, each region's rational
+    evaluated on that region's elements only."""
     y = np.abs(x)
     out = np.empty_like(y)
-    m1 = y <= 0.46875
-    m2 = ~m1
-    out[m1] = 1.0 - _erf_small(x[m1])
+    small = y <= 0.46875
+    if small.any():
+        out[small] = 1.0 - _erf_small(x[small])
     # erfc underflows to 0 below 40; the cap keeps ys**8 finite
-    ys = np.minimum(y[m2], 40.0)
-    vals = np.where(ys <= 4.0, _erfcx_mid(np.maximum(ys, 0.46875)),
-                    _erfcx_large(np.maximum(ys, 4.0)))
-    tail = np.exp(-ys * ys) * vals
-    out[m2] = np.where(x[m2] < 0.0, 2.0 - tail, tail)
+    ys = np.minimum(y, 40.0)
+    for region, erfcx_part in ((~small & (ys <= 4.0), _erfcx_mid),
+                               (ys > 4.0, _erfcx_large)):
+        if region.any():
+            yr = ys[region]
+            tail = np.exp(-yr * yr) * erfcx_part(yr)
+            out[region] = np.where(x[region] < 0.0, 2.0 - tail, tail)
     return out
 
 
@@ -266,9 +269,14 @@ def _ppf_raw(p):
     lo = p < _PPF_PLOW
     hi = p > 1.0 - _PPF_PLOW
     mid = ~(lo | hi)
-    out[mid] = _acklam_central(p[mid] - 0.5)
-    out[lo] = _acklam_tail(np.sqrt(-2.0 * np.log(p[lo])))
-    out[hi] = -_acklam_tail(np.sqrt(-2.0 * np.log(1.0 - p[hi])))
+    # a region without elements is skipped: on small arrays the
+    # rationals' fixed cost dominates
+    if mid.any():
+        out[mid] = _acklam_central(p[mid] - 0.5)
+    if lo.any():
+        out[lo] = _acklam_tail(np.sqrt(-2.0 * np.log(p[lo])))
+    if hi.any():
+        out[hi] = -_acklam_tail(np.sqrt(-2.0 * np.log(1.0 - p[hi])))
     return out
 
 

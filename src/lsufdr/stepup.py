@@ -104,6 +104,14 @@ def _stepup_count(pvalues, alpha: float, n: int | None = None) -> np.ndarray:
     return (ok * np.arange(1, ok.shape[-1] + 1)).max(axis=-1, initial=0)
 
 
+def _stepdown_count(pvalues, alpha: float,
+                    n: int | None = None) -> np.ndarray:
+    """Step-down rejection count of each row: its run of passing ranks
+    from the first.  Laid out as `_stepup_count`."""
+    ok = _passes(pvalues, alpha, n)
+    return np.logical_and.accumulate(ok, axis=-1).sum(axis=-1)
+
+
 def lsu(sample: PValueSample, alpha: float) -> RejectionResult:
     """Linear step-up procedure with critical values i*alpha/n."""
     alpha = _check_alpha(alpha)
@@ -114,9 +122,8 @@ def lsu(sample: PValueSample, alpha: float) -> RejectionResult:
 def lsd(sample: PValueSample, alpha: float) -> RejectionResult:
     """Linear step-down procedure; rejects no more than lsu."""
     alpha = _check_alpha(alpha)
-    ok = _passes(sample.pvalues, alpha, sample.n)
     # past the held p-values every rank fails, as they exceed alpha
-    r = ok.size if bool(ok.all()) else int(np.argmin(ok))
+    r = int(_stepdown_count(sample.pvalues, alpha, sample.n))
     return _result(sample, r, alpha)
 
 

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from lsufdr import models
+from lsufdr import models, montecarlo
 from lsufdr.asymptotics import conditional_limits, eer_fdr_normal
 from lsufdr.models import (
     ExtremeConfig,
     ModelSpec,
     _assemble,
     _null_pvalues,
+    _rekey,
     _shifted_pvalues,
     _uniform_threshold,
     draw_disturbance,
@@ -333,3 +334,118 @@ class TestTailOnlyEngine:
             assert 1e-3 < thr < 1.0 - 1e-3
             below, above = pvalues(np.array([thr - 1e-7, thr + 1e-7]))
             assert below > cutoff >= above
+
+
+def reference_summary(plan):
+    """(m, v, sums, histogram) of `full_vector_counts`, summed one
+    replicate at a time in replicate order within each chunk of
+    `_CHUNK`, the chunk sums then added in order."""
+    m, v = full_vector_counts(plan)
+    n, chunk = plan.config.n, montecarlo._CHUNK
+    sums = np.zeros(8)
+    hist = np.zeros(montecarlo._HIST_BINS, dtype=np.int64)
+    for start in range(0, plan.replicates, chunk):
+        part = np.zeros(8)
+        for mi, vi in zip(m[start:start + chunk].tolist(),
+                          v[start:start + chunk].tolist()):
+            fdp = vi / mi if mi > 0 else 0.0
+            v_n, r_n = vi / n, mi / n
+            part += (fdp, fdp * fdp, v_n, v_n * v_n, vi, r_n, r_n * r_n, mi)
+            hist[min(int(fdp * hist.size), hist.size - 1)] += 1
+        sums += part
+    return m, v, sums, hist
+
+
+def assert_matches_reference(s, plan, ref):
+    m, v, sums, hist = ref
+    reps, n = plan.replicates, plan.config.n
+    assert np.array_equal(s.r_counts, m)
+    assert np.array_equal(s.v_counts, v)
+    assert np.array_equal(s.fdp_histogram, hist)
+    assert s.fdr_hat == float(sums[0] / reps)
+    assert s.eer_hat == float(sums[2] / reps)
+    assert s.ene_hat == float(sums[4] / reps)
+    assert s.r_over_n_hat == float(sums[5] / reps)
+    se = montecarlo._se
+    assert s.standard_errors == {
+        "fdr_hat": se(sums[0], sums[1], reps),
+        "eer_hat": se(sums[2], sums[3], reps),
+        "ene_hat": se(sums[2], sums[3], reps) * n,
+        "r_over_n_hat": se(sums[5], sums[6], reps),
+    }
+
+
+def _plan(model, n, zeta, alpha, reps, seed, **kw):
+    return SimulationPlan(model=model,
+                          config=ExtremeConfig(n=n, zeta=zeta, seed=seed),
+                          alpha=alpha, replicates=reps, **kw)
+
+
+# every family, lsu and lsd, conditional runs, zeta 0 and 1, and n = 1
+SUMMARY_PLANS = {
+    "normal": _plan(ModelSpec.normal(0.3), 60, 0.75, 0.1, 400, 41),
+    "normal_lsd_all_null": _plan(ModelSpec.normal(0.5), 40, 1.0, 0.1, 400,
+                                 42, procedure="lsd"),
+    "normal_n1": _plan(ModelSpec.normal(0.5), 1, 1.0, 0.3, 500, 43),
+    "student_t_conditional_lsd": _plan(ModelSpec.student_t(4.0), 16, 0.75,
+                                       0.2, 300, 44, conditional_z=0.8,
+                                       procedure="lsd"),
+    "exponential": _plan(ModelSpec.exponential(), 200, 0.5, 0.1, 600, 45),
+    "exponential_lsd": _plan(ModelSpec.exponential(), 200, 0.5, 0.1, 600,
+                             45, procedure="lsd"),
+    "exponential_shift_conditional": _plan(
+        ModelSpec.exponential(false_theta=2.0), 100, 0.75, 0.1, 500, 46,
+        conditional_z=0.4),
+    "exponential_shift_no_nulls_lsd": _plan(
+        ModelSpec.exponential(false_theta=1.0), 50, 0.0, 0.1, 300, 47,
+        procedure="lsd"),
+}
+
+
+class TestBlockKernel:
+    """Replicates run in blocks; the summary must equal the per-replicate
+    reference added up in replicate order, bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(SUMMARY_PLANS))
+    def test_summary_matches_per_replicate_reference(self, name):
+        plan = SUMMARY_PLANS[name]
+        s = run(plan, keep_replicates=True, workers=1)
+        assert_matches_reference(s, plan, reference_summary(plan))
+
+    @pytest.mark.parametrize("model", [ModelSpec.exponential(),
+                                       ModelSpec.exponential(false_theta=1.5)])
+    def test_replicates_straddling_blocks_and_chunks(self, model):
+        n = 200
+        rows = montecarlo._BLOCK_ELEMS // n
+        reps = montecarlo._CHUNK + rows + 3
+        assert 1 < rows < montecarlo._CHUNK
+        assert montecarlo._CHUNK % rows and (reps % montecarlo._CHUNK) % rows
+        plan = _plan(model, n, 0.5, 0.1, reps, 48)
+        ref = reference_summary(plan)
+        for workers in (1, 2):
+            s = run(plan, keep_replicates=True, workers=workers)
+            assert_matches_reference(s, plan, ref)
+
+    def test_guard_fallback_through_run(self, monkeypatch):
+        # a negative margin drops uniforms whose p-values are <= alpha;
+        # the guard must put them back in every block row that needs it
+        monkeypatch.setattr(models, "_U_MARGIN", -0.05)
+        for model, z in ((ModelSpec.normal(0.3), None),
+                         (ModelSpec.student_t(5.0), 1.0),
+                         (ModelSpec.exponential(false_theta=1.0), None)):
+            plan = _plan(model, 300, 0.8, 0.2, 150, 49, conditional_z=z)
+            s = run(plan, keep_replicates=True, workers=1)
+            assert_matches_reference(s, plan, reference_summary(plan))
+
+    @pytest.mark.parametrize("seed", [0, 11, 2 ** 32 + 5, 2 ** 64 + 7])
+    def test_rekey_reproduces_make_rng(self, seed):
+        rng = make_rng(123)
+        for i in (0, 1, 2 ** 40):
+            # leave buffered words behind, as a replicate's draws do
+            rng.random(3)
+            rng.integers(0, 10, size=3, dtype=np.uint32)
+            _rekey(rng, seed, i)
+            fresh = make_rng(seed, i)
+            assert np.array_equal(rng.integers(0, 2 ** 31, 5, np.uint32),
+                                  fresh.integers(0, 2 ** 31, 5, np.uint32))
+            assert np.array_equal(rng.random(9), fresh.random(9))

@@ -72,14 +72,31 @@ class TestIntegrate:
         with pytest.raises(QuadratureError, match="budget"):
             integrate(lambda x: math.sin(1e6 * x), 0.0, 1.0, tol=1e-12)
 
+    def test_starting_panels_counted_against_budget(self, monkeypatch):
+        # four starting panels need 60 evaluations; none may be spent
+        # when the budget is smaller, even for a smooth integrand
+        monkeypatch.setattr(quadrature, "_MAX_EVALS", 45)
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x
+
+        with pytest.raises(QuadratureError, match="budget"):
+            integrate(f, 0.0, 1.0, points=[0.25, 0.75])
+        assert calls == []
+        assert integrate(f, 0.0, 1.0, points=[0.25])[0] == \
+            pytest.approx(0.5, abs=1e-12)
+        assert len(calls) == 45
+
     def test_non_finite_integrand_raises(self):
         with pytest.raises(QuadratureError):
             integrate(lambda x: math.inf, 0.0, 1.0)
 
 
 def test_curve_records_quadrature_error(tmp_path, monkeypatch, capsys):
-    # the two starting panels spend a budget of 15 evaluations, so the
-    # first limit integral that needs a split fails
+    # the two starting panels need 30 evaluations, more than a budget
+    # of 15, so the first limit integral fails before evaluating any
     monkeypatch.setattr(quadrature, "_MAX_EVALS", 15)
     out = tmp_path / "curve.json"
     code = main(["curve", "--model", "normal", "--alpha", "0.05",
