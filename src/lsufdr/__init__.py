@@ -2,7 +2,7 @@
 
 The package provides the linear step-up (and step-down) procedures on
 realized p-value vectors, three exchangeable dependence models with
-their limiting p-value distributions, crossing/tangency solvers against
+their limiting p-value distributions, one crossing/tangency solver against
 the rejection line t/alpha, quadrature formulas for the limiting
 expected error rate and false discovery rate, exact finite-n identities
 for linear-at-zero null distributions, a reproducible Monte Carlo
@@ -21,15 +21,7 @@ from .models import (
     sample_pvalues_conditional,
     z_of_t,
 )
-from .crossing import (
-    CrossingReport,
-    SolverError,
-    TangencySolution,
-    crossing_report,
-    distance_normal,
-    solve_tangency_normal,
-    solve_tangency_t,
-)
+from .crossing import CrossingReport, SolverError, crossing_report
 from .quadrature import QuadratureError
 from .asymptotics import (
     AsymptoticResult,
@@ -63,9 +55,7 @@ __all__ = [
     "ModelSpec", "ExtremeConfig", "f_infinity", "f_infinity_mixed",
     "gamma_at_zero", "z_of_t", "disturbance_cdf",
     "sample_pvalues", "sample_pvalues_conditional",
-    "CrossingReport", "TangencySolution", "SolverError",
-    "distance_normal",
-    "solve_tangency_normal", "solve_tangency_t", "crossing_report",
+    "CrossingReport", "SolverError", "crossing_report",
     "QuadratureError",
     "AsymptoticResult", "ConditionalLimit", "LimitConstants",
     "conditional_limits", "g_distributions",

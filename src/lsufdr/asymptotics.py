@@ -11,7 +11,7 @@ tangency analysis split the integration range.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .crossing import SolverError, crossing_report
 from .models import EXPONENTIAL, NORMAL, ModelSpec, _check_alpha_zeta, \
     _check_z, crossing_at, disturbance_cdf, gamma_at_zero, null_pdf, z_of_t
 from .quadrature import integrate
+from .stepup import _check_alpha
 
 __all__ = [
     "AsymptoticResult",
@@ -226,8 +227,6 @@ def t_of_z(model: ModelSpec, alpha: float, zeta: float, z) -> np.ndarray:
     alpha, zeta = _check_alpha_zeta(alpha, zeta)
     z = np.asarray(z, dtype=np.float64)
     flat = z.ravel()
-    if np.isnan(flat).any():
-        raise ValueError("t_of_z: disturbance value is nan")
     if flat.size:
         _check_z(model, flat.min())
     if model.family == EXPONENTIAL:
@@ -308,13 +307,7 @@ class LimitConstants:
     zeta_worst: float
 
     def as_dict(self) -> dict:
-        return {
-            "fdr_discontinuity": self.fdr_discontinuity,
-            "ene_lsu": self.ene_lsu,
-            "ene_lsd": self.ene_lsd,
-            "eer_sup_indep": self.eer_sup_indep,
-            "zeta_worst": self.zeta_worst,
-        }
+        return asdict(self)
 
 
 def limit_constants(alpha: float) -> LimitConstants:
@@ -323,9 +316,7 @@ def limit_constants(alpha: float) -> LimitConstants:
     The discontinuity constant Phi(-sqrt(-2 log alpha)) applies for
     alpha <= 1/2 and is reported as None otherwise.
     """
-    alpha = float(alpha)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie strictly between 0 and 1")
+    alpha = _check_alpha(alpha)
     disc = sf.Phi(-math.sqrt(-2.0 * math.log(alpha))) if alpha <= 0.5 else None
     root = math.sqrt(1.0 - alpha)
     return LimitConstants(
@@ -344,11 +335,8 @@ def expected_false_rejections_all_true(alpha: float, gamma: float) -> float:
     is alpha*gamma/(1-alpha*gamma)^2, diverging as gamma reaches
     1/alpha.
     """
-    alpha = float(alpha)
-    gamma = float(gamma)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie strictly between 0 and 1")
-    if gamma < 0.0:
+    alpha, gamma = _check_alpha(alpha), float(gamma)
+    if not gamma >= 0.0:
         raise ValueError("gamma must be nonnegative")
     prod = alpha * gamma
     if prod > 1.0 + 1e-12:

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
+import io
 import json
 import sys
 from dataclasses import dataclass
@@ -24,6 +26,7 @@ from .asymptotics import eer_fdr_normal, eer_fdr_t, limit_constants
 from .crossing import crossing_report
 from .models import EXPONENTIAL, NORMAL, STUDENT_T, ExtremeConfig, ModelSpec
 from .montecarlo import SimulationPlan, run
+from .stepup import _check_alpha
 
 __all__ = ["main", "SweepRequest"]
 
@@ -59,8 +62,7 @@ class SweepRequest:
     def __post_init__(self):
         if self.family not in (NORMAL, STUDENT_T):
             raise ValueError("curve sweeps cover normal and student_t")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie strictly between 0 and 1")
+        _check_alpha(self.alpha)
         for z in self.zetas:
             if not 0.0 < z <= 1.0:
                 raise ValueError("zeta values must lie in (0, 1]")
@@ -143,21 +145,13 @@ def cmd_curve(request: SweepRequest) -> int:
             rows.append(row)
     failures = sum(1 for row in rows if row[-1] != "ok")
     if request.fmt == "csv":
-        text = "".join(",".join(map(_csv_cell, row)) + "\n"
-                       for row in (_CURVE_COLUMNS, *rows))
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows((_CURVE_COLUMNS, *rows))
+        text = buf.getvalue()
     else:
         text = _json_text([dict(zip(_CURVE_COLUMNS, row)) for row in rows])
     _write(text, request.out)
     return 2 if failures else 0
-
-
-def _csv_cell(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    text = str(v)
-    if "," in text or '"' in text:
-        text = '"' + text.replace('"', '""') + '"'
-    return text
 
 
 def _build_model(args) -> ModelSpec:
@@ -289,10 +283,7 @@ def main(argv=None) -> int:
         if args.command == "crossing":
             return cmd_crossing(args)
         raise _UsageError(f"unknown command {args.command!r}")
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (_UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:

@@ -20,17 +20,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import specfun as sf
+# sf stays bound here: perfbench/tracing.py wraps it
+from . import specfun as sf  # noqa: F401
 from .models import EXPONENTIAL, STUDENT_T, ModelSpec, _check_alpha_zeta, \
     crossing_at, crossing_window, null_isf, null_sf
 
 __all__ = [
     "SolverError",
-    "TangencySolution",
     "CrossingReport",
-    "distance_normal",
-    "solve_tangency_normal",
-    "solve_tangency_t",
     "crossing_report",
 ]
 
@@ -41,15 +38,6 @@ _BISECT_REL = 1e-14
 
 class SolverError(RuntimeError):
     """Raised when a bracket scan fails; the message carries diagnostics."""
-
-
-@dataclass(frozen=True)
-class TangencySolution:
-    """Tangent point: null quantile, disturbance value and t."""
-
-    u_star: float
-    z_star: float
-    t2: float
 
 
 @dataclass(frozen=True)
@@ -70,21 +58,6 @@ class CrossingReport:
     u1: float
     u2: float
     u_window: tuple[float, float]
-
-
-def distance_normal(u: float, x0: float, zeta: float, alpha: float,
-                    rho: float) -> float:
-    """Gap between the transformed mixed cdf and the rejection line.
-
-    Positive values mean the limiting cdf sits above the line at
-    t = 1 - Phi(u) for disturbance x0.
-    """
-    if not 0.0 < rho < 1.0:
-        raise ValueError("rho must lie strictly between 0 and 1")
-    alpha, zeta = _check_alpha_zeta(alpha, zeta)
-    rb = 1.0 - rho
-    w = u / math.sqrt(rb) + math.sqrt(rho / rb) * x0
-    return (1.0 - zeta) + zeta * sf.norm_sf(w) - sf.norm_sf(u) / alpha
 
 
 def _bisect(f, a: float, b: float, fa: float | None = None) -> float:
@@ -140,31 +113,6 @@ def _scan(h, x_start: float, x_end: float, count: int):
         return brackets, x_near
     k = xs.index(x_near)
     return sweep(xs[max(k - _SCAN_STRIDE, 0):k + _SCAN_STRIDE + 1])
-
-
-def _tangency(rep: CrossingReport):
-    if rep.z_at_tangent is None:
-        return None
-    return TangencySolution(u_star=rep.u2, z_star=rep.z_at_tangent, t2=rep.t2)
-
-
-def solve_tangency_normal(alpha: float, zeta: float, rho: float):
-    """Tangent point of the normal-family mixed cdf, or None.
-
-    u_star is the normal quantile of t2.  For zeta = 1 a tangent always
-    exists; for zeta < 1 None means the crossing set is one interval.
-    """
-    return _tangency(crossing_report(ModelSpec.normal(rho), alpha, zeta))
-
-
-def solve_tangency_t(alpha: float, zeta: float, nu: float):
-    """Tangent point of the t-family mixed cdf, or None.
-
-    u_star is the t quantile of t2 and z_star the disturbance s; at
-    zeta = 1 they solve the classical pair alpha*Phi(-s u) = F_t(-u),
-    s*alpha*phi(s u) = f_t(u).
-    """
-    return _tangency(crossing_report(ModelSpec.student_t(nu), alpha, zeta))
 
 
 def crossing_report(model: ModelSpec, alpha: float,

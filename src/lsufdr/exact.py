@@ -18,7 +18,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .stepup import _stepup_count
+from .models import make_rng
+from .stepup import _check_alpha, _stepup_count
 
 __all__ = [
     "LinearNullSpec",
@@ -41,7 +42,7 @@ class LinearNullSpec:
     t_star: float
 
     def __post_init__(self):
-        if self.gamma < 0.0:
+        if not self.gamma >= 0.0:
             raise ValueError("gamma must be nonnegative")
         if not 0 <= self.n0 <= self.n or self.n < 1:
             raise ValueError("need 0 <= n0 <= n and n >= 1")
@@ -64,7 +65,7 @@ class BoundarySpec:
             raise ValueError("m must be at least 1")
         if len(bounds) > self.m:
             raise ValueError("more bounds than order statistics")
-        if any(b < 0.0 or b > 1.0 for b in bounds):
+        if not all(0.0 <= b <= 1.0 for b in bounds):
             raise ValueError("bounds must lie in [0, 1]")
         if any(b2 < b1 for b1, b2 in zip(bounds, bounds[1:])):
             raise ValueError("bounds must be nondecreasing")
@@ -73,9 +74,7 @@ class BoundarySpec:
 
 def exact_fdr_linear(spec: LinearNullSpec, alpha: float) -> float:
     """Step-up FDR under full-range linearity: (n0/n)*gamma*alpha."""
-    alpha = float(alpha)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie strictly between 0 and 1")
+    alpha = _check_alpha(alpha)
     if abs(spec.t_star - alpha) > 1e-12:
         raise ValueError("exact_fdr_linear needs linearity on all of "
                          "[0, alpha] (t_star = alpha)")
@@ -107,6 +106,8 @@ def boundary_noncrossing_prob(spec: BoundarySpec,
         return 1.0
     j0 = m - len(bounds) + 1
     levels = [min(max(float(null_cdf(b)), 0.0), 1.0) for b in bounds]
+    if any(math.isnan(level) for level in levels):  # the clip keeps nan
+        raise ValueError("null_cdf returned nan")
 
     # log C(m-i, j-i) for j >= i, from one lgamma table; -inf below
     log_fact = np.array([math.lgamma(k + 1.0) for k in range(m + 1)])
@@ -173,9 +174,9 @@ def restricted_fdr_check(spec: LinearNullSpec, alpha: float,
     alpha times the boundary-noncrossing probability of the n-1
     leave-one-out order statistics.  Returns (lhs, rhs).
     """
-    alpha = float(alpha)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie strictly between 0 and 1")
+    alpha = _check_alpha(alpha)
+    if replicates < 1:
+        raise ValueError("replicates must be at least 1")
     n, n0 = spec.n, spec.n0
     n1 = n - n0
     gamma, t_star = spec.gamma, min(spec.t_star, alpha)
@@ -199,8 +200,7 @@ def restricted_fdr_check(spec: LinearNullSpec, alpha: float,
         rhs = n0 / n * gamma * alpha * prob
 
     # Monte Carlo side
-    rng = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence(entropy=(int(seed), 811))))
+    rng = make_rng(seed, 811)
     chunk_sums = []
     chunk = max(1, min(200_000 // max(n, 1), replicates))
     done = 0

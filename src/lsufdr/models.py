@@ -26,6 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import specfun as sf
+from .stepup import PValueSample, _check_alpha
 
 __all__ = [
     "NORMAL",
@@ -130,6 +131,8 @@ class ExtremeConfig:
 
 def _check_z(model: ModelSpec, z: float) -> float:
     z = float(z)
+    if math.isnan(z):
+        raise ValueError("disturbance value is nan")
     if model.family == STUDENT_T and not z > 0.0:
         raise ValueError("student_t disturbance must satisfy s > 0")
     if model.family == EXPONENTIAL and z < 0.0:
@@ -138,9 +141,7 @@ def _check_z(model: ModelSpec, z: float) -> float:
 
 
 def _check_alpha_zeta(alpha: float, zeta: float) -> tuple[float, float]:
-    alpha, zeta = float(alpha), float(zeta)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie strictly between 0 and 1")
+    alpha, zeta = _check_alpha(alpha), float(zeta)
     if not 0.0 < zeta <= 1.0:
         raise ValueError("zeta must lie in (0, 1]")
     return alpha, zeta
@@ -522,8 +523,6 @@ def _assemble(model: ModelSpec, config: ExtremeConfig, z: float,
     alpha never reject a p-value above alpha, so cutoff = alpha gives
     them the same rejections on a sample of the kept p-values.
     """
-    from .stepup import PValueSample
-
     u = rng.random((1, _uniform_count(model, config)))
     p, nulls = _sample_block(model, config, np.array([float(z)]), u, cutoff)
     return PValueSample(pvalues=p[0],

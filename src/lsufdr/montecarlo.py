@@ -37,9 +37,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import ExtremeConfig, ModelSpec, draw_disturbance, make_rng, \
-    _assemble, _check_z, _rekey, _sample_block, _uniform_count
+    _assemble, _check_z, _rekey, _sample_block, _uniform_count, \
+    f_infinity_mixed
+from .stepup import _check_alpha, _stepdown_count, _stepup_count
 # lsu and lsd stay bound here: perfbench/tracing.py wraps them
-from .stepup import _stepdown_count, _stepup_count, lsd, lsu  # noqa: F401
+from .stepup import lsd, lsu  # noqa: F401
 
 __all__ = ["SimulationPlan", "SimulationSummary", "ConvergenceRow",
            "run", "convergence_study", "worker_count"]
@@ -64,8 +66,7 @@ class SimulationPlan:
     procedure: str = "lsu"
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie strictly between 0 and 1")
+        _check_alpha(self.alpha)
         if self.replicates < 1:
             raise ValueError("replicates must be at least 1")
         if self.procedure not in ("lsu", "lsd"):
@@ -225,14 +226,6 @@ def run(plan: SimulationPlan, keep_replicates: bool = False,
     )
 
 
-def _f_infinity_mixed_grid(model: ModelSpec, tgrid: np.ndarray, z: float,
-                           zeta: float) -> np.ndarray:
-    from .models import f_infinity_mixed
-
-    return np.array([f_infinity_mixed(model, float(t), z, zeta)
-                     for t in tgrid])
-
-
 def convergence_study(plan: SimulationPlan, n_grid) -> list[ConvergenceRow]:
     """Rerun a plan over a grid of sample sizes.
 
@@ -255,7 +248,8 @@ def convergence_study(plan: SimulationPlan, n_grid) -> list[ConvergenceRow]:
             tgrid = np.linspace(0.0, 1.0, 1001)
             zeta_n = cfg.zeta_n
             if zeta_n > 0.0:
-                limit = _f_infinity_mixed_grid(plan.model, tgrid, z, zeta_n)
+                limit = np.array([f_infinity_mixed(plan.model, t, z, zeta_n)
+                                  for t in tgrid.tolist()])
             else:
                 limit = np.ones_like(tgrid)
             dists = []

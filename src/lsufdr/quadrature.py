@@ -11,15 +11,15 @@ raises `QuadratureError` instead of returning an untrusted value.
 
 Endpoints are never evaluated, which matters here because the EER/FDR
 integrands have unbounded derivatives at interval ends.  The interval
-starts as two panels split at its midpoint, plus any interior split
-points the caller lists so known kinks get their own panels up front.
+starts as two panels split at its midpoint: one GK15 panel's error
+estimate can miss an endpoint singularity that its halves expose.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from typing import Callable, Iterable
+from typing import Callable
 
 __all__ = ["integrate", "QuadratureError"]
 
@@ -72,16 +72,13 @@ def _gk15(f: Callable[[float], float], a: float, b: float):
 
 
 def integrate(f: Callable[[float], float], a: float, b: float,
-              tol: float = 1e-10,
-              points: Iterable[float] = ()) -> tuple[float, float]:
+              tol: float = 1e-10) -> tuple[float, float]:
     """Integrate f over [a, b] to absolute tolerance tol.
 
-    Returns the pair (value, error estimate).  `points` lists interior
-    locations where the integrand has kinks or singular derivatives; the
-    interval is pre-split there.  The error estimate exceeds tol only
-    when every panel left has reached the width floor.  Raises
-    QuadratureError when the integrand is not finite or the evaluation
-    budget runs out first.
+    Returns the pair (value, error estimate).  The error estimate
+    exceeds tol only when every panel left has reached the width floor.
+    Raises QuadratureError when the integrand is not finite or the
+    evaluation budget runs out first.
     """
     a = float(a)
     b = float(b)
@@ -97,10 +94,8 @@ def integrate(f: Callable[[float], float], a: float, b: float,
                                   f"on [{lo!r}, {hi!r}]")
         return -err, lo, hi, val
 
-    # two panels at the least: one GK15 panel's error estimate can miss
-    # an endpoint singularity that its halves expose
-    cuts = sorted({a, 0.5 * (a + b), b,
-                   *(float(p) for p in points if a < float(p) < b)})
+    # two panels, or one where no double lies strictly between a and b
+    cuts = sorted({a, 0.5 * (a + b), b})
     evals = 15 * (len(cuts) - 1)
     if evals > _MAX_EVALS:
         raise QuadratureError(

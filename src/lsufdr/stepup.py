@@ -9,6 +9,7 @@ critical value count as rejections.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,4 +133,6 @@ def ecdf(pvalues: np.ndarray, t: float) -> float:
     pv = np.asarray(pvalues, dtype=np.float64)
     if pv.size == 0:
         raise ValueError("ecdf needs at least one p-value")
+    if math.isnan(t):
+        raise ValueError("ecdf: t is nan")
     return float(np.count_nonzero(pv <= t)) / pv.size

@@ -70,8 +70,9 @@ class TestExpectedFalseRejections:
         assert math.isinf(expected_false_rejections_all_true(0.05, 20.0))
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            expected_false_rejections_all_true(0.05, 21.0)
+        for gamma in (21.0, math.nan):
+            with pytest.raises(ValueError):
+                expected_false_rejections_all_true(0.05, gamma)
 
 
 class TestConditionalLimits:

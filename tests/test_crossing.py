@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from lsufdr import specfun as sf
-from lsufdr.crossing import (
-    CrossingReport,
-    crossing_report,
-    distance_normal,
-    solve_tangency_normal,
-    solve_tangency_t,
-)
+from lsufdr.crossing import CrossingReport, crossing_report
 from lsufdr.models import ModelSpec, f_infinity_mixed, z_of_t
 
 
@@ -21,6 +15,20 @@ def mixed_cdf_grid_normal(rho, ts, z, zeta):
     return (1.0 - zeta) + zeta * np.asarray(sf.norm_sf(arg))
 
 
+def gap_normal(u, x0, zeta, alpha, rho):
+    """Mixed cdf of disturbance x0 less the line t/alpha at t = sf(u)."""
+    t = sf.norm_sf(u)
+    return f_infinity_mixed(ModelSpec.normal(rho), t, x0, zeta) - t / alpha
+
+
+def tangency(spec, alpha, zeta):
+    """(u2, z*, t2) of the crossing report, or None without a tangent."""
+    rep = crossing_report(spec, alpha, zeta)
+    if rep.z_at_tangent is None:
+        return None
+    return rep.u2, rep.z_at_tangent, rep.t2
+
+
 class TestDistance:
     def test_zero_on_crossing_curve(self):
         # u at t and the matching disturbance from z_of_t cancel exactly
@@ -29,21 +37,21 @@ class TestDistance:
         for t in (0.021, 0.03, 0.045):
             x0 = z_of_t(spec, t, alpha, zeta)
             u = sf.norm_isf(t)
-            assert abs(distance_normal(u, x0, zeta, alpha, rho)) < 1e-12
+            assert abs(gap_normal(u, x0, zeta, alpha, rho)) < 1e-12
 
     def test_limit_at_large_u(self):
-        val = distance_normal(40.0, 0.0, 0.7, 0.05, 0.5)
+        val = gap_normal(40.0, 0.0, 0.7, 0.05, 0.5)
         assert val == pytest.approx(1.0 - 0.7, abs=1e-12)
 
     def test_sign_change_matches_raw_gap(self):
-        # the transformed distance changes sign exactly where the
-        # untransformed cdf crosses the rejection line
+        # the gap at u changes sign exactly where the cdf, evaluated on
+        # a grid in t, crosses the rejection line
         alpha, zeta, rho, x0 = 0.05, 0.8, 0.5, 0.2
         spec = ModelSpec.normal(rho)
         ts = np.linspace(alpha * (1 - zeta) * 1.01, alpha * 0.99, 800)
         gap = mixed_cdf_grid_normal(rho, ts, x0, zeta) - ts / alpha
         us = np.asarray(sf.Phi_inv(1.0 - ts))
-        dvals = np.array([distance_normal(float(u), x0, zeta, alpha, rho)
+        dvals = np.array([gap_normal(float(u), x0, zeta, alpha, rho)
                           for u in us])
         assert np.all((gap > 0) == (dvals > 0))
 
@@ -77,13 +85,12 @@ class TestStationarity:
 class TestTangencyNormal:
     def test_full_null_conditions_hold(self):
         for rho in (0.05, 0.3, 0.7, 0.95):
-            sol = solve_tangency_normal(0.05, 1.0, rho)
-            d = distance_normal(sol.u_star, sol.z_star, 1.0, 0.05, rho)
+            u_star, z_star, _ = tangency(ModelSpec.normal(rho), 0.05, 1.0)
+            d = gap_normal(u_star, z_star, 1.0, 0.05, rho)
             assert abs(d) < 1e-10
             rb = 1.0 - rho
-            w = sol.u_star / math.sqrt(rb) \
-                + math.sqrt(rho / rb) * sol.z_star
-            der = -sf.phi(w) / math.sqrt(rb) + sf.phi(sol.u_star) / 0.05
+            w = u_star / math.sqrt(rb) + math.sqrt(rho / rb) * z_star
+            der = -sf.phi(w) / math.sqrt(rb) + sf.phi(u_star) / 0.05
             assert abs(der) < 1e-10
 
     def test_full_null_upper_bound(self):
@@ -91,49 +98,48 @@ class TestTangencyNormal:
         # -sqrt(2 log(sqrt(1-rho)/alpha))
         alpha = 0.05
         for rho in (0.1, 0.5, 0.9):
-            sol = solve_tangency_normal(alpha, 1.0, rho)
+            _, z_star, _ = tangency(ModelSpec.normal(rho), alpha, 1.0)
             bound = -math.sqrt(2 * math.log(math.sqrt(1 - rho) / alpha))
-            assert sol.z_star <= bound + 1e-9
+            assert z_star <= bound + 1e-9
 
     def test_paper_like_configuration_has_tangent(self):
-        sol = solve_tangency_normal(0.1, 0.9999, 0.5)
-        assert sol is not None
+        assert tangency(ModelSpec.normal(0.5), 0.1, 0.9999) is not None
         rep = crossing_report(ModelSpec.normal(0.5), 0.1, 0.9999)
         assert rep.has_tangent and rep.t1 < rep.t2
 
     def test_moderate_zeta_no_tangent(self):
-        assert solve_tangency_normal(0.05, 0.5, 0.3) is None
+        assert tangency(ModelSpec.normal(0.3), 0.05, 0.5) is None
 
     def test_t2_in_window(self):
-        sol = solve_tangency_normal(0.05, 0.9999, 0.5)
-        assert 0.05 * (1 - 0.9999) <= sol.t2 <= 0.05
+        _, _, t2 = tangency(ModelSpec.normal(0.5), 0.05, 0.9999)
+        assert 0.05 * (1 - 0.9999) <= t2 <= 0.05
 
 
 class TestTangencyT:
     def test_full_null_solution(self):
         for nu in (1.0, 5.0, 50.0, 1e5):
-            sol = solve_tangency_t(0.05, 1.0, nu)
+            u_star, z_star, _ = tangency(ModelSpec.student_t(nu), 0.05, 1.0)
             # both tangency equations hold
-            lhs1 = 0.05 * sf.norm_sf(sol.z_star * sol.u_star)
-            rhs1 = sf.t_sf(sol.u_star, nu)
+            lhs1 = 0.05 * sf.norm_sf(z_star * u_star)
+            rhs1 = sf.t_sf(u_star, nu)
             assert abs(lhs1 - rhs1) <= 1e-10 * max(rhs1, 1e-300)
-            lhs2 = sol.z_star * 0.05 * sf.phi(sol.z_star * sol.u_star)
-            rhs2 = sf.t_pdf(sol.u_star, nu)
+            lhs2 = z_star * 0.05 * sf.phi(z_star * u_star)
+            rhs2 = sf.t_pdf(u_star, nu)
             assert abs(lhs2 - rhs2) <= 1e-8 * max(rhs2, 1e-300)
 
     def test_curvature_condition(self):
         for nu in (2.0, 30.0, 1e4):
-            sol = solve_tangency_t(0.05, 1.0, nu)
-            assert sol.z_star ** 2 < (nu + 1.0) / nu
+            _, z_star, _ = tangency(ModelSpec.student_t(nu), 0.05, 1.0)
+            assert z_star ** 2 < (nu + 1.0) / nu
 
     def test_t2_below_half_alpha(self):
         for nu in (1.0, 8.0, 300.0):
-            sol = solve_tangency_t(0.05, 1.0, nu)
-            assert 0.0 < sol.t2 < 0.05 / 2
+            _, _, t2 = tangency(ModelSpec.student_t(nu), 0.05, 1.0)
+            assert 0.0 < t2 < 0.05 / 2
 
     def test_alpha_restriction(self):
         with pytest.raises(ValueError):
-            solve_tangency_t(0.6, 1.0, 5.0)
+            crossing_report(ModelSpec.student_t(5), 0.6, 1.0)
 
 
 class TestCrossingReport:

@@ -28,6 +28,10 @@ class TestExactFdrLinear:
         assert exact_fdr_linear(spec, 0.2) \
             == pytest.approx(0.3 * 0.6 * 0.2, rel=1e-12)
 
+    def test_nan_slope_rejected(self):
+        with pytest.raises(ValueError):
+            LinearNullSpec(gamma=math.nan, n0=5, n=10, t_star=0.1)
+
     def test_requires_full_range(self):
         spec = LinearNullSpec(gamma=1.0, n0=5, n=5, t_star=0.05)
         with pytest.raises(ValueError):
@@ -82,8 +86,14 @@ class TestBoundaryNoncrossing:
             BoundarySpec(m=3, lower_bounds=[0.4, 0.2])
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            BoundarySpec(m=3, lower_bounds=[-0.1, 0.2])
+        for bounds in ([-0.1, 0.2], [math.nan]):
+            with pytest.raises(ValueError):
+                BoundarySpec(m=3, lower_bounds=bounds)
+
+    def test_nan_cdf_rejected(self):
+        with pytest.raises(ValueError, match="nan"):
+            boundary_noncrossing_prob(BoundarySpec(m=3, lower_bounds=[0.5]),
+                                      lambda t: math.nan)
 
     def test_three_uniforms_vs_monte_carlo(self):
         # bounds (2 alpha/3, alpha) on the top two of three order
@@ -179,6 +189,12 @@ class TestRestrictedIdentity:
         lhs, rhs = restricted_fdr_check(spec, alpha=0.3, replicates=400000)
         se = math.sqrt(max(lhs * (1.0 - lhs), 1e-6) / 400000)
         assert abs(lhs - rhs) < 3 * se
+
+    @pytest.mark.parametrize("replicates", [0, -5])
+    def test_replicates_must_be_positive(self, replicates):
+        spec = LinearNullSpec(gamma=1.0, n0=10, n=10, t_star=0.1)
+        with pytest.raises(ValueError, match="replicates"):
+            restricted_fdr_check(spec, alpha=0.2, replicates=replicates)
 
     def test_sub_linear_slope(self):
         spec = LinearNullSpec(gamma=0.5, n0=12, n=12, t_star=0.125)

@@ -174,6 +174,16 @@ class TestGammaAtZero:
             ratio = f_infinity(spec, t, z) / t
             assert abs(ratio - gamma_at_zero(spec, z)) < 1e-4
 
+    def test_nan_disturbance_rejected(self):
+        for spec in (NORMAL, STUDT, EXPO):
+            with pytest.raises(ValueError, match="disturbance value is nan"):
+                gamma_at_zero(spec, math.nan)
+            with pytest.raises(ValueError, match="disturbance value is nan"):
+                f_infinity(spec, 0.3, math.nan)
+            with pytest.raises(ValueError, match="disturbance value is nan"):
+                sample_pvalues_conditional(
+                    spec, ExtremeConfig(n=5, zeta=0.5, seed=1), math.nan)
+
     def test_exponential_slope_integrates_to_one(self):
         # E[gamma(Z)] = 1, the step behind the exact FDR identity
         rng = np.random.default_rng(9)

@@ -59,6 +59,15 @@ class TestPlanValidation:
                                config=ExtremeConfig(n=10, zeta=0.5, seed=0),
                                alpha=0.1, replicates=20, conditional_z=z))
 
+    @pytest.mark.parametrize("model", [ModelSpec.normal(0.5),
+                                       ModelSpec.student_t(5.0),
+                                       ModelSpec.exponential()])
+    def test_conditional_z_nan_rejected(self, model):
+        with pytest.raises(ValueError, match="disturbance value is nan"):
+            SimulationPlan(model=model,
+                           config=ExtremeConfig(n=10, zeta=0.5, seed=0),
+                           alpha=0.1, replicates=20, conditional_z=math.nan)
+
     def test_conditional_z_on_support_boundary(self):
         plan = SimulationPlan(model=ModelSpec.exponential(),
                               config=ExtremeConfig(n=10, zeta=0.5, seed=0),

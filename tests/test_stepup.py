@@ -209,6 +209,10 @@ class TestEcdf:
         with pytest.raises(ValueError):
             ecdf(np.array([]), 0.5)
 
+    def test_nan_level_rejected(self):
+        with pytest.raises(ValueError, match="nan"):
+            ecdf(np.array([0.1, 0.4]), float("nan"))
+
 
 class TestSampleValidation:
     def test_length_mismatch(self):
