@@ -18,7 +18,8 @@ import numpy as np
 from . import specfun as sf
 from .crossing import SolverError, crossing_report
 from .models import EXPONENTIAL, NORMAL, ModelSpec, _check_alpha_zeta, \
-    _check_z, crossing_at, disturbance_cdf, gamma_at_zero, null_pdf, z_of_t
+    _check_z, crossing_at, disturbance_cdf, gamma_at_zero, null_pdf, \
+    null_sf, z_of_t
 from .quadrature import integrate
 from .stepup import _check_alpha
 
@@ -34,9 +35,6 @@ __all__ = [
     "t_of_z",
     "expected_false_rejections_all_true",
 ]
-
-
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -124,10 +122,6 @@ def eer_fdr_t(alpha: float, zeta: float, nu: float,
 # Conditional limits.
 
 
-def _phi(x: np.ndarray) -> np.ndarray:
-    return np.exp(-0.5 * x * x) / _SQRT_2PI
-
-
 def _branch_roots(model: ModelSpec, alpha: float, zeta: float,
                   z: np.ndarray, a: float, b: float) -> np.ndarray:
     """t at the u in (a, b) where z(u) = z, for z(u) rising on (a, b).
@@ -144,14 +138,13 @@ def _branch_roots(model: ModelSpec, alpha: float, zeta: float,
     if model.family == NORMAL:
         c, s = math.sqrt(model.rho), math.sqrt(model.rho_bar)
 
-        def at(u, z):  # sf, pdf and d log pdf/du at u; w and dw/du
-            return sf.norm_sf(u), _phi(u), -u, (u + c * z) / s, 1.0 / s
+        def at(u, z):  # d log pdf/du at u; w and dw/du
+            return -u, (u + c * z) / s, 1.0 / s
     else:
         nu = model.nu
 
         def at(u, z):
-            return sf.t_sf(u, nu), sf.t_pdf(u, nu), \
-                -(nu + 1.0) * u / (nu + u * u), z * u, z
+            return -(nu + 1.0) * u / (nu + u * u), z * u, z
 
     # uniform nodes, and nodes 1e-2 to 1e-12 of the way from either end
     ends = 10.0 ** -np.arange(12.0, 1.0, -1.0)
@@ -172,13 +165,14 @@ def _branch_roots(model: ModelSpec, alpha: float, zeta: float,
         u = np.clip(np.interp(zb, z_nodes, nodes), lo, hi)
         idx, moved = np.arange(start, start + zb.size), np.zeros(zb.shape)
         for _ in range(100):
-            t, f, dlog_f, w, dw = at(u, zb)
+            t, f = null_sf(model, u), null_pdf(model, u)
+            dlog_f, w, dw = at(u, zb)
             p = (t - t_lower) / az
             near = p <= 0.5
             tail = sf.norm_sf(np.where(near, w, -w))
             r = np.where(near, tail - p, (alpha - t) / az - tail)
             r[t == 0.0] = np.nan  # underflow: bisect toward the root
-            fw = _phi(w) * dw
+            fw = sf.phi(w) * dw
             r1, r2 = f / az - fw, dlog_f * f / az + w * fw * dw
             step = r * r1 / (r1 * r1 - 0.5 * r * r2)
             lo, hi = np.where(r < 0.0, u, lo), np.where(r < 0.0, hi, u)
@@ -214,6 +208,23 @@ def _branch_roots(model: ModelSpec, alpha: float, zeta: float,
     return out
 
 
+def _report_roots(model: ModelSpec, alpha: float, zeta: float, rep,
+                  z: np.ndarray) -> np.ndarray:
+    """`t_of_z` of the normal or t family on checked 1-d z, given rep."""
+    (u_lo, u_hi), finite = rep.u_window, np.isfinite(z)
+    t = np.where(z == -np.inf, rep.t_upper, rep.t_lower)
+    if rep.has_tangent:
+        upper = finite & (z < rep.z_at_tangent)
+        branches = [(upper, u_lo, rep.u2), (finite & ~upper, rep.u1, u_hi)]
+    else:
+        branches = [(finite, u_lo, u_hi)]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for mask, a, b in branches:
+            if mask.any() and a < b:
+                t[mask] = _branch_roots(model, alpha, zeta, z[mask], a, b)
+    return t
+
+
 def t_of_z(model: ModelSpec, alpha: float, zeta: float, z) -> np.ndarray:
     """Largest crossing point t(z) of the mixed cdf with t/alpha, on arrays.
 
@@ -237,18 +248,7 @@ def t_of_z(model: ModelSpec, alpha: float, zeta: float, z) -> np.ndarray:
             return np.zeros(z.shape)
         return alpha * (1.0 - zeta) / (1.0 - 2.0 * alpha * zeta * np.exp(-z))
     rep = crossing_report(model, alpha, zeta)
-    (u_lo, u_hi), finite = rep.u_window, np.isfinite(flat)
-    t = np.where(flat == -np.inf, rep.t_upper, rep.t_lower)
-    if rep.has_tangent:
-        upper = finite & (flat < rep.z_at_tangent)
-        branches = [(upper, u_lo, rep.u2), (finite & ~upper, rep.u1, u_hi)]
-    else:
-        branches = [(finite, u_lo, u_hi)]
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for mask, a, b in branches:
-            if mask.any() and a < b:
-                t[mask] = _branch_roots(model, alpha, zeta, flat[mask], a, b)
-    return t.reshape(z.shape)
+    return _report_roots(model, alpha, zeta, rep, flat).reshape(z.shape)
 
 
 def t_of_z_normal(alpha: float, zeta: float, rho: float, z) -> np.ndarray:
@@ -260,17 +260,19 @@ def conditional_limits(model: ModelSpec, alpha: float, zeta: float,
                        z: float) -> ConditionalLimit:
     """Limits of V_n/n and the FDP conditionally on Z = z."""
     alpha, zeta = _check_alpha_zeta(alpha, zeta)
-    t = float(t_of_z(model, alpha, zeta, z))
-    if zeta == 1.0:
-        # t is 0 both without a crossing, z >= z*, and where the crossing
-        # lies below the double range
-        if model.family == EXPONENTIAL \
-                or z >= crossing_report(model, alpha, zeta).z_at_tangent:
-            return ConditionalLimit(v_over_n=0.0,
-                                    fdp_limit=alpha * gamma_at_zero(model, z))
-        return ConditionalLimit(v_over_n=t / alpha, fdp_limit=1.0)
-    return ConditionalLimit(v_over_n=t / alpha - (1.0 - zeta),
-                            fdp_limit=1.0 - alpha * (1.0 - zeta) / t)
+    if zeta < 1.0:
+        t = float(t_of_z(model, alpha, zeta, z))
+        return ConditionalLimit(v_over_n=t / alpha - (1.0 - zeta),
+                                fdp_limit=1.0 - alpha * (1.0 - zeta) / t)
+    # at zeta = 1 only z < z* crosses, and t may underflow to 0 there
+    z = _check_z(model, z)
+    if model.family != EXPONENTIAL:
+        rep = crossing_report(model, alpha, zeta)
+        if z < rep.z_at_tangent:
+            t = float(_report_roots(model, alpha, zeta, rep, np.array([z]))[0])
+            return ConditionalLimit(v_over_n=t / alpha, fdp_limit=1.0)
+    return ConditionalLimit(v_over_n=0.0,
+                            fdp_limit=alpha * gamma_at_zero(model, z))
 
 
 def g_distributions(model: ModelSpec, alpha: float, zeta: float,

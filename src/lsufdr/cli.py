@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 from .asymptotics import eer_fdr_normal, eer_fdr_t, limit_constants
 from .crossing import crossing_report
-from .models import EXPONENTIAL, NORMAL, STUDENT_T, ExtremeConfig, ModelSpec
+from .models import EXPONENTIAL, NORMAL, STUDENT_T, ExtremeConfig, \
+    ModelSpec, _check_zeta
 from .montecarlo import SimulationPlan, run
 from .stepup import _check_alpha
 
@@ -64,8 +65,7 @@ class SweepRequest:
             raise ValueError("curve sweeps cover normal and student_t")
         _check_alpha(self.alpha)
         for z in self.zetas:
-            if not 0.0 < z <= 1.0:
-                raise ValueError("zeta values must lie in (0, 1]")
+            _check_zeta(z)
         for g in self.grid:
             if self.family == NORMAL and not 0.0 < g < 1.0:
                 raise ValueError("rho grid values must lie in (0, 1)")

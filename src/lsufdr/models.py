@@ -140,11 +140,15 @@ def _check_z(model: ModelSpec, z: float) -> float:
     return z
 
 
-def _check_alpha_zeta(alpha: float, zeta: float) -> tuple[float, float]:
-    alpha, zeta = _check_alpha(alpha), float(zeta)
+def _check_zeta(zeta: float) -> float:
+    zeta = float(zeta)
     if not 0.0 < zeta <= 1.0:
         raise ValueError("zeta must lie in (0, 1]")
-    return alpha, zeta
+    return zeta
+
+
+def _check_alpha_zeta(alpha: float, zeta: float) -> tuple[float, float]:
+    return _check_alpha(alpha), _check_zeta(zeta)
 
 
 def _check_t(t: float) -> float:
@@ -181,9 +185,7 @@ def f_infinity(model: ModelSpec, t: float, z: float) -> float:
 def f_infinity_mixed(model: ModelSpec, t: float, z: float,
                      zeta: float) -> float:
     """Limiting cdf when a fraction 1 - zeta of p-values sits at zero."""
-    zeta = float(zeta)
-    if not 0.0 < zeta <= 1.0:
-        raise ValueError("zeta must lie in (0, 1]")
+    zeta = _check_zeta(zeta)
     return (1.0 - zeta) + zeta * f_infinity(model, t, z)
 
 

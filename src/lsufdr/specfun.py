@@ -1,26 +1,26 @@
 """Special functions for the normal, Student-t and chi distributions.
 
-Each public function has one scalar implementation on the `math`
-module: the normal cdf through `math.erfc`, the normal quantile by
-Acklam's approximation and one Halley step, the Student-t tail by a
-continued fraction for the incomplete beta function, the chi cdf by the
-incomplete gamma function.  The functions keep no global state.
+Each public function has one scalar implementation on the standard
+library: the normal cdf through `math.erfc`, the normal quantile by
+Wichura's AS241 in `statistics.NormalDist.inv_cdf`, the Student-t tail
+by a continued fraction for the incomplete beta function, the chi cdf by
+the incomplete gamma function.  The functions keep no global state.
 
 Arrays: the first argument may be anything `np.asarray` takes; the
 result is a float64 array of its shape, equal element by element to the
 scalar calls, and a 0-d array gives a float.  Arrays are mapped over the
-scalar code, except in two numpy kernels, where mapping 1e5 elements is
-4x (erfc) and 7x (quantile) slower: Cody's erfc (TOMS 1969) behind array
-`erfc`, `Phi` and `norm_sf`, which the Monte Carlo sampler and
-`asymptotics.t_of_z` call, and Acklam plus a numpy Halley step behind
-array `Phi_inv`, `norm_isf` and `_ppf_raw`, which only the sampler
-calls.  These five agree with their scalar calls to 1e-13 relative
-rather than bit for bit.
+scalar code, except in numpy kernels for the Monte Carlo sampler and
+`asymptotics.t_of_z`, where mapping 1e5 elements is several times
+slower: Cody's erfc (TOMS 1969) behind `erfc`, `Phi` and `norm_sf`, a
+transcription of AS241 behind `Phi_inv` and `norm_isf`, and `phi`.
+These six agree with their scalar calls to 1e-13 relative rather than
+bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+import statistics
 import sys
 
 import numpy as np
@@ -49,7 +49,6 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-_LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _ONE_OVER_SQRT_PI = 1.0 / math.sqrt(math.pi)
 _FLOAT_MAX = sys.float_info.max
 _FLOAT_MIN = sys.float_info.min
@@ -161,7 +160,8 @@ def _erfc_cody(x):
 def erfcx(x):
     """Scaled complementary error function exp(x^2) * erfc(x).
 
-    Relative error below 6e-14, from rounding x^2 in exp(x^2) up to 26.
+    Cody's rationals above x = 0.46875, exp(x^2) * erfc(x) below: the
+    relative error is below 1e-15 for x >= 0.47.
     """
     if not isinstance(x, (float, int)):
         return _lift(erfcx, x)
@@ -171,9 +171,9 @@ def erfcx(x):
         if x * x > 709.78:
             return math.inf
         return 2.0 * math.exp(x * x) - erfcx(-x)
-    if x <= 26.0:
+    if x <= 0.46875:
         return math.exp(x * x) * math.erfc(x)
-    return _erfcx_large(x)
+    return _erfcx_mid(x) if x <= 4.0 else _erfcx_large(x)
 
 
 def erfc(x):
@@ -196,9 +196,9 @@ def erf(x):
 
 def phi(x):
     """Standard normal density."""
-    if not isinstance(x, (float, int)):
-        return _lift(phi, x)
-    return math.exp(-0.5 * x * x) / _SQRT_2PI
+    if isinstance(x, (float, int)):
+        return math.exp(-0.5 * x * x) / _SQRT_2PI
+    return _dispatch(x, lambda a: np.exp(-0.5 * a * a) / _SQRT_2PI)
 
 
 def Phi(x):
@@ -232,96 +232,83 @@ def norm_logsf(x):
     return math.log(0.5 * erfcx(x / _SQRT2)) - 0.5 * x * x
 
 
-# Acklam's rational approximation for the normal quantile.
-_PPF_A = (-3.969683028665376e+01, 2.209460984245205e+02,
-          -2.759285104469687e+02, 1.383577518672690e+02,
-          -3.066479806614716e+01, 2.506628277459239e+00)
-_PPF_B = (-5.447609879822406e+01, 1.615858368580409e+02,
-          -1.556989798598866e+02, 6.680131188771972e+01,
-          -1.328068155288572e+01)
-_PPF_C = (-7.784894002430293e-03, -3.223964580411365e-01,
-          -2.400758277161838e+00, -2.549732539343734e+00,
-          4.374664141464968e+00, 2.938163982698783e+00)
-_PPF_D = (7.784695709041462e-03, 3.224671290700398e-01,
-          2.445134137142996e+00, 3.754408661907416e+00)
-_PPF_PLOW = 0.02425
+# Wichura's AS241 (Appl. Statist. 37, 1988), as in `NormalDist.inv_cdf`:
+# numerator and denominator coefficients as doubles, highest degree first.
+# Row 0 gives x = q*A(r)/B(r), r = 0.180625 - q^2, for |q| = |p - 1/2| <=
+# 0.425.  Past that r = sqrt(-log min(p, 1 - p)), and |x| is C(r - 1.6)/
+# D(r - 1.6) for r <= 5 (row 1), E(r - 5)/F(r - 5) beyond (row 2).
+_AS241 = (
+    ((2.5090809287301227e+03, 3.3430575583588128e+04, 6.7265770927008707e+04,
+      4.5921953931549870e+04, 1.3731693765509461e+04, 1.9715909503065513e+03,
+      1.3314166789178438e+02, 3.3871328727963665e+00),
+     (5.2264952788528544e+03, 2.8729085735721943e+04, 3.9307895800092709e+04,
+      2.1213794301586597e+04, 5.3941960214247511e+03, 6.8718700749205789e+02,
+      4.2313330701600911e+01, 1.0)),
+    ((7.7454501427834139e-04, 2.2723844989269184e-02, 2.4178072517745061e-01,
+      1.2704582524523684e+00, 3.6478483247632045e+00, 5.7694972214606910e+00,
+      4.6303378461565456e+00, 1.4234371107496835e+00),
+     (1.0507500716444169e-09, 5.4759380849953455e-04, 1.5198666563616457e-02,
+      1.4810397642748008e-01, 6.8976733498510001e-01, 1.6763848301838038e+00,
+      2.0531916266377590e+00, 1.0)),
+    ((2.0103343992922881e-07, 2.7115555687434876e-05, 1.2426609473880784e-03,
+      2.6532189526576124e-02, 2.9656057182850487e-01, 1.7848265399172913e+00,
+      5.4637849111641144e+00, 6.6579046435011033e+00),
+     (2.0442631033899397e-15, 1.4215117583164459e-07, 1.8463183175100548e-05,
+      7.8686913114561329e-04, 1.4875361290850615e-02, 1.3692988092273581e-01,
+      5.9983220655588798e-01, 1.0)),
+)
+_NORMAL = statistics.NormalDist()
+# fdlibm's split of log 2, so that lq + _LN2_HI is exact near lq = -log 2
+_LN2_HI = 6.93147180369123816490e-01
+_LN2_LO = 1.90821492927058770002e-10
 
 
-def _acklam_central(q):
-    # quantile at p = 1/2 + q, for _PPF_PLOW <= p <= 1 - _PPF_PLOW
-    r = q * q
-    a, b = _PPF_A, _PPF_B
-    return q * (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r
-                + a[5]) / (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r
-                            + b[4]) * r + 1.0)
+def _as241(row, r, q=1.0):
+    """Row `row` of `_AS241` at r, times q, in the stdlib's operation order."""
+    num, den = _AS241[row]
+    a, b = num[0], den[0]
+    for c, d in zip(num[1:], den[1:]):
+        a = a * r + c
+        b = b * r + d
+    return a * q / b
 
 
-def _acklam_tail(q):
-    # quantile at p < _PPF_PLOW, from q = sqrt(-2 log p)
-    c, d = _PPF_C, _PPF_D
-    return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q
-            + c[5]) / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-
-
-def _ppf_raw(p):
-    """Acklam's quantile, unpolished, on a float64 array in (0, 1)."""
-    out = np.empty_like(p)
-    lo = p < _PPF_PLOW
-    hi = p > 1.0 - _PPF_PLOW
-    mid = ~(lo | hi)
-    # a region without elements is skipped: on small arrays the
-    # rationals' fixed cost dominates
-    if mid.any():
-        out[mid] = _acklam_central(p[mid] - 0.5)
-    if lo.any():
-        out[lo] = _acklam_tail(np.sqrt(-2.0 * np.log(p[lo])))
-    if hi.any():
-        out[hi] = -_acklam_tail(np.sqrt(-2.0 * np.log(1.0 - p[hi])))
-    return out
-
-
-def _Phi_inv_halley(p):
-    """The array `Phi_inv`: `_ppf_raw` and one numpy Halley step."""
-    if np.any(p <= 0.0) or np.any(p >= 1.0):
+def _as241_array(p):
+    """The array `Phi_inv`, each region's rational on its own elements."""
+    if not np.all((p > 0.0) & (p < 1.0)):
         raise ValueError("Phi_inv requires 0 < p < 1")
-    x = _ppf_raw(p)
-    # switch to log space once exp(x^2/2) overflows
-    e = 0.5 * _erfc_cody(-x / _SQRT2) - p
-    safe = np.abs(x) < 36.0
-    u = np.where(safe,
-                 e * _SQRT_2PI * np.exp(np.where(safe, 0.5 * x * x, 0.0)),
-                 np.sign(e) * np.exp(np.log(np.abs(e) + 1e-320)
-                                     + 0.5 * x * x + _LN_SQRT_2PI))
-    return x - u / (1.0 + 0.5 * x * u)
+    q = p - 0.5
+    out = np.empty_like(p)
+    central = np.abs(q) <= 0.425
+    if central.any():
+        qc = q[central]
+        out[central] = _as241(0, 0.180625 - qc * qc, qc)
+    tail = ~central
+    if tail.any():
+        qt = q[tail]
+        r = np.sqrt(-np.log(np.where(qt <= 0.0, p[tail], 1.0 - p[tail])))
+        x = np.empty_like(r)
+        near = r <= 5.0
+        for row, region, shift in ((1, near, 1.6), (2, ~near, 5.0)):
+            if region.any():
+                x[region] = _as241(row, r[region] - shift)
+        out[tail] = np.where(qt < 0.0, -x, x)
+    return out
 
 
 def Phi_inv(p):
     """Standard normal quantile on the open interval (0, 1).
 
-    Acklam's rational approximation refined by one Halley step: the
-    relative error is below 5e-15 up to p = 1 - 0.02425.  Above that
-    the Halley step's Phi(x) - p cancels and only Acklam's own 1.15e-9
-    holds; pass the tail mass 1 - p to `norm_isf` for full accuracy.
+    Wichura's AS241, the standard library's `NormalDist.inv_cdf` for a
+    float and its numpy transcription for arrays: relative error below
+    1e-15 on all of (0, 1), down to the smallest subnormal p.
     """
     if not isinstance(p, (float, int)):
-        return _dispatch(p, _Phi_inv_halley)
+        return _dispatch(p, _as241_array)
     p = float(p)
     if not 0.0 < p < 1.0:
         raise ValueError("Phi_inv requires 0 < p < 1")
-    if p < _PPF_PLOW:
-        x = _acklam_tail(math.sqrt(-2.0 * math.log(p)))
-    elif p > 1.0 - _PPF_PLOW:
-        x = -_acklam_tail(math.sqrt(-2.0 * math.log(1.0 - p)))
-    else:
-        x = _acklam_central(p - 0.5)
-    e = 0.5 * math.erfc(-x / _SQRT2) - p
-    if abs(x) < 36.0:
-        u = e * _SQRT_2PI * math.exp(0.5 * x * x)
-    else:
-        u = math.copysign(
-            math.exp(math.log(abs(e) + 1e-320) + 0.5 * x * x + _LN_SQRT_2PI),
-            e)
-    return x - u / (1.0 + 0.5 * x * u)
+    return _NORMAL.inv_cdf(p)
 
 
 def norm_isf(q):
@@ -333,24 +320,31 @@ def norm_isf_log(lq):
     """Upper-tail normal quantile from the log tail mass.
 
     Solves norm_logsf(x) = lq for x, valid for lq <= log(1/2) even when
-    exp(lq) underflows, to 2e-15 relative.  Used by crossing solvers
-    operating far in the tails.
+    exp(lq) underflows: AS241's rationals in 1/2 - exp(lq), formed by
+    expm1, and in sqrt(-lq), polished below -700.  The relative error is
+    below 1e-15 for lq <= -0.6932; nearer log(1/2), where x nears 0, the
+    rounding of log 2 grows it (2e-13 at lq = -0.69314718056).
     """
     if not isinstance(lq, (float, int)):
         return _lift(norm_isf_log, lq)
     if lq > math.log(0.5) + 1e-15:
         raise ValueError("norm_isf_log requires lq <= log(1/2)")
+    if lq >= math.log(0.075):
+        d = -0.5 * math.expm1((lq + _LN2_HI) + _LN2_LO)
+        return _as241(0, 0.180625 - d * d, d)
+    r = math.sqrt(-lq)
+    x = _as241(1, r - 1.6) if r <= 5.0 else _as241(2, r - 5.0)
     if lq >= -700.0:
-        return norm_isf(math.exp(lq))
-    # Asymptotic seed: lq ~ -x^2/2 - log(x) - log(sqrt(2 pi)).
-    x = math.sqrt(-2.0 * lq)
-    for _ in range(4):
-        x = math.sqrt(max(-2.0 * (lq + math.log(x) + _LN_SQRT_2PI), 1.0))
-    # Newton on norm_logsf; d/dx log(1-Phi(x)) = -1/mills(x).
+        return x
+    # Past r = 27 the rational falls ever further below the root, and past
+    # r = 1e45 it is inf or nan: min then takes sqrt(2) r, above the root.
+    # Newton on norm_logsf in x^2, where it is nearly linear, converges
+    # from either; d/dx log(1-Phi(x)) = -1/mills(x).
+    x = min(_SQRT2 * r, x)
     for _ in range(60):
         mills = 0.5 * _SQRT_2PI * erfcx(x / _SQRT2)
         step = (norm_logsf(x) - lq) * mills
-        x = x + step
+        x = x * math.sqrt(1.0 + 2.0 * step / x)
         if abs(step) < 1e-14 * max(1.0, abs(x)):
             break
     return x
@@ -547,7 +541,7 @@ def t_isf(q, nu: float):
     tail = min(q, 1.0 - q)
     if tail == 0.5:
         return 0.0
-    x = norm_isf(tail) if tail > 1e-300 else 40.0
+    x = norm_isf(tail)
     x = _solve_increasing(lambda v: tail - t_sf(v, nu),
                           lambda v: t_pdf(v, nu), x, max(2.0 * x, 1.0), 1e-13)
     return x if q <= 0.5 else -x

@@ -91,6 +91,22 @@ class TestConditionalLimits:
         assert cl.fdp_limit == 1.0
         assert rep.t2 / 0.05 < cl.v_over_n <= 1.0
 
+    def test_full_null_builds_one_report(self, monkeypatch):
+        import lsufdr.asymptotics as asy
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return crossing_report(*args)
+
+        model = ModelSpec.normal(0.5)
+        z = crossing_report(model, 0.05, 1.0).z_at_tangent - 0.5
+        monkeypatch.setattr(asy, "crossing_report", counted)
+        cl = conditional_limits(model, 0.05, 1.0, z)
+        assert len(calls) == 1
+        assert cl.v_over_n == float(t_of_z(model, 0.05, 1.0, z)) / 0.05
+
     def test_exponential_full_null(self):
         for z in (0.1, 0.7, 2.0):
             cl = conditional_limits(ModelSpec.exponential(), 0.05, 1.0, z)

@@ -245,6 +245,19 @@ class TestZofT:
             z_of_t(NORMAL, 0.05, 0.05, 0.5)  # t = alpha excluded
         with pytest.raises(ValueError):
             z_of_t(NORMAL, 0.02, 0.05, 0.5)  # below alpha*(1-zeta)
+        with pytest.raises(ValueError, match="exponential window"):
+            z_of_t(EXPO, 0.7, 0.8, 0.5)  # inside (0.4, 0.8), past t = 1/2
+        with pytest.raises(ValueError, match="z >= 0"):
+            z_of_t(EXPO, 0.03, 0.05, 0.5)
+
+    def test_roundtrip_exponential(self):
+        # z >= 0 needs t/alpha - (1 - zeta) <= 2*zeta*t: t <= 0.5/19 here
+        alpha, zeta = 0.05, 0.5
+        for t in np.linspace(0.0251, 0.0263, 7):
+            z = z_of_t(EXPO, t, alpha, zeta)
+            assert z >= 0.0
+            back = f_infinity_mixed(EXPO, t, z, zeta)
+            assert abs(back - t / alpha) < 1e-12
 
 
 class TestSampling:

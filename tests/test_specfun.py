@@ -1,4 +1,5 @@
 import math
+import statistics
 import sys
 
 import numpy as np
@@ -51,9 +52,23 @@ class TestNormal:
         assert sf.Phi_inv(0.5) == 0.0
 
     def test_quantile_domain(self):
-        for p in (0.0, 1.0, -0.2, 1.4):
-            with pytest.raises(ValueError):
-                sf.Phi_inv(p)
+        for p in (0.0, 1.0, -0.2, 1.4, math.nan):
+            for arg in (p, np.array([0.3, p, 0.7])):
+                with pytest.raises(ValueError):
+                    sf.Phi_inv(arg)
+
+    def test_array_quantile_pinned_to_stdlib(self):
+        # the array kernel transcribes statistics.NormalDist.inv_cdf,
+        # so the two copies of AS241 must not drift apart
+        rng = np.random.default_rng(20241018)
+        p = np.concatenate([rng.random(60000),
+                            10.0 ** -rng.uniform(0.0, 323.3, 20000),
+                            1.0 - 10.0 ** -rng.uniform(0.0, 16.0, 20000)])
+        p = p[(p > 0.0) & (p < 1.0)]
+        ref = np.array([statistics.NormalDist().inv_cdf(v)
+                        for v in p.tolist()])
+        got = sf.Phi_inv(p)
+        assert np.all(np.abs(got - ref) <= 5e-16 * np.abs(ref))
 
     def test_roundtrip_random_points(self):
         rng = np.random.default_rng(1234)
@@ -96,7 +111,7 @@ class TestNormal:
         assert sf.norm_logsf(-math.inf) == 0.0
 
     def test_logsf_far_tail_inverse(self):
-        for lq in (-5.0, -300.0, -1e4, -3e6):
+        for lq in (-5.0, -300.0, -1e4, -3e6, -1e50, -1e300):
             x = sf.norm_isf_log(lq)
             assert abs(sf.norm_logsf(x) - lq) < 1e-9 * abs(lq)
 
@@ -314,7 +329,7 @@ ARRAY_CASES = {
 }
 
 # Array paths that run a numpy kernel instead of the scalar code.
-NUMPY_KERNELS = {"Phi", "norm_sf", "erfc", "Phi_inv", "norm_isf"}
+NUMPY_KERNELS = {"phi", "Phi", "norm_sf", "erfc", "Phi_inv", "norm_isf"}
 
 
 class TestArrayContract:
@@ -393,12 +408,12 @@ class TestMpmathOracle:
     # step 0.05, so Cody's worst point near 23.6 is on the grid
     X = np.concatenate([np.linspace(-38.0, 38.0, 1521),
                         [-1e300, -1e10, 1e3, 1e10, 1e150, 1e299]])
-    P = np.concatenate([[1e-300, 1e-250, 1e-200, 1e-100, 1e-50, 1e-20,
-                         1e-10, 1e-5, 1e-3, 0.02, 0.0242, 0.0243],
-                        np.linspace(0.03, 0.97, 95), [0.9757]])
-    # Above 1 - 0.02425 the Halley step's Phi(x) - p cancels, so only
-    # Acklam's own error (below 1.15e-9) holds there.
-    P_UPPER = [0.98, 0.999, 1.0 - 1e-5, 1.0 - 1e-10, 1.0 - 1e-15]
+    P = np.concatenate([[5e-324, 1e-310, 1e-300, 1e-250, 1e-200, 1e-100,
+                         1e-50, 1e-20, 1e-10, 1e-5, 1e-3, 0.02, 0.0242,
+                         0.0243],
+                        np.linspace(0.03, 0.97, 95),
+                        [0.9757, 0.98, 0.999, 1.0 - 1e-5, 1.0 - 1e-10,
+                         1.0 - 1e-15]])
 
     def test_normal_cdf_and_tail(self, mp):
         def ncdf(x):
@@ -411,8 +426,12 @@ class TestMpmathOracle:
         assert worst_rel_error(
             sf.erfc, self.X, lambda x: mp.erfc(_clip(x, 30.0))) < 6e-14
         xs = self.X[self.X > -26.0]
-        assert worst_rel_error(
-            sf.erfcx, xs, lambda x: _mp_erfcx(mp, x)) < 6e-14
+        # below 0.47, and through 2 exp(x^2) - erfcx(-x) for x < 0,
+        # rounding x^2 in exp(x^2) costs up to 6e-14; Cody's rationals
+        # take over above
+        for part, bound in ((xs < 0.47, 6e-14), (xs >= 0.47, 5e-16)):
+            assert worst_rel_error(
+                sf.erfcx, xs[part], lambda x: _mp_erfcx(mp, x)) < bound
 
     def test_norm_logsf(self, mp):
         def ref(x):
@@ -437,15 +456,14 @@ class TestMpmathOracle:
         ps = self.P[self.P != 0.5]
         assert worst_rel_error(sf.Phi_inv, ps, ref) < 1e-14
         assert worst_rel_error(sf.norm_isf, ps, lambda q: -ref(q)) < 1e-14
-        assert worst_rel_error(sf.Phi_inv, self.P_UPPER, ref) < 1.2e-9
 
     def test_norm_isf_log(self, mp):
         def ref(lq):
             return _mp_root(mp, lambda t: mp.log(mp.ncdf(-t)), lq,
                             sf.norm_isf_log(lq))
 
-        lqs = [-0.7, -1.0, -5.0, -50.0, -300.0, -699.0, -701.0, -1e3, -1e4,
-               -3e6, -1e10]
+        lqs = [-0.6932, -0.694, -0.7, -1.0, -5.0, -50.0, -300.0, -699.0,
+               -701.0, -1e3, -1e4, -3e6, -1e10]
         assert worst_rel_error(sf.norm_isf_log, lqs, ref) < 3e-15
 
     # the exponent of the series prefactor grows like nu log nu, and
