@@ -257,7 +257,7 @@ _AS241 = (
       7.8686913114561329e-04, 1.4875361290850615e-02, 1.3692988092273581e-01,
       5.9983220655588798e-01, 1.0)),
 )
-_NORMAL = statistics.NormalDist()
+_STD_NORMAL = statistics.NormalDist()
 # fdlibm's split of log 2, so that lq + _LN2_HI is exact near lq = -log 2
 _LN2_HI = 6.93147180369123816490e-01
 _LN2_LO = 1.90821492927058770002e-10
@@ -308,7 +308,7 @@ def Phi_inv(p):
     p = float(p)
     if not 0.0 < p < 1.0:
         raise ValueError("Phi_inv requires 0 < p < 1")
-    return _NORMAL.inv_cdf(p)
+    return _STD_NORMAL.inv_cdf(p)
 
 
 def norm_isf(q):
