@@ -11,8 +11,9 @@ The geometry is a property of the crossing map z(u) alone
 at t = sf(u), u the null quantile.  A tangent exists when z turns down
 on its way up from t_upper to t_lower; the turning point u2 gives t2
 and z* = z(u2), and t1 solves z(u) = z* past the local minimum.  One
-solver, a sign scan of dz/du and bisection, serves both families; u
-stays representable where t2 crowds toward 0 as zeta approaches one.
+solver, a sign scan of dz/du and `specfun._solve_increasing` on each
+bracket, serves both families; u stays representable where t2 crowds
+toward 0 as zeta approaches one.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-# sf stays bound here: perfbench/tracing.py wraps it
-from . import specfun as sf  # noqa: F401
+from . import specfun as sf
 from .models import EXPONENTIAL, STUDENT_T, ModelSpec, _check_alpha_zeta, \
     crossing_at, crossing_window, null_isf, null_sf
 
@@ -33,7 +33,7 @@ __all__ = [
 
 _SCAN_CELLS = 1000
 _SCAN_STRIDE = 10
-_BISECT_REL = 1e-14
+_U_RTOL = 1e-14
 
 
 class SolverError(RuntimeError):
@@ -60,31 +60,8 @@ class CrossingReport:
     u_window: tuple[float, float]
 
 
-def _bisect(f, a: float, b: float, fa: float | None = None) -> float:
-    """Root of f in the bracket [a, b] across which f changes sign.
-
-    `fa` is f(a), or any value with its sign, when the caller knows it.
-    Halves the bracket until it is _BISECT_REL wide relative to its ends
-    and returns the midpoint, or a point where f is exactly zero.
-    """
-    if fa is None:
-        fa = f(a)
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0.0) == (fa > 0.0):
-            a, fa = mid, fm
-        else:
-            b = mid
-        if abs(b - a) <= _BISECT_REL * max(1.0, abs(a), abs(b)):
-            break
-    return 0.5 * (a + b)
-
-
 def _scan(h, x_start: float, x_end: float, count: int):
-    """Brackets (a, b, h(a)) of the first `count` sign changes of h, from
+    """Brackets (a, b) of the first `count` sign changes of h, from
     x_start toward x_end, and the grid point of least h.
 
     The grid has _SCAN_CELLS cells.  Every _SCAN_STRIDE-th point is
@@ -100,7 +77,7 @@ def _scan(h, x_start: float, x_end: float, count: int):
                 continue
             lowest = min(lowest, (f, x))
             if prev is not None and (f > 0.0) != (prev[0] > 0.0):
-                brackets.append((prev[1], x, prev[0]))
+                brackets.append((prev[1], x))
                 if len(brackets) == count:
                     break
             prev = (f, x)
@@ -138,18 +115,13 @@ def crossing_report(model: ModelSpec, alpha: float,
         return crossing_at(model, u, alpha, zeta)[2]
 
     if zeta == 1.0:
-        # z rises from t_upper and falls for good past its one maximum:
-        # bracket by geometric expansion, then bisect
+        # z rises from t_upper and falls for good past its one maximum
         lo = u_lo + 1e-9 * max(1.0, abs(u_lo))
-        hi = max(2.0 * lo, 1.0)
-        for _ in range(400):
-            if slope(hi) < 0.0:
-                break
-            lo, hi = hi, 1.5 * hi
-        else:
+        u2 = sf._solve_increasing(lambda u: -slope(u), lo,
+                                  max(2.0 * lo, 1.0), _U_RTOL)
+        if u2 == math.inf:
             raise SolverError("crossing_report: dz/du never turned negative "
                               f"(alpha={alpha}, model={model})")
-        u2 = _bisect(slope, lo, hi)
         t2, z_star, _ = crossing_at(model, u2, alpha, zeta)
         t2 = min(t2, t_upper)
         return CrossingReport(
@@ -167,16 +139,18 @@ def crossing_report(model: ModelSpec, alpha: float,
     z_star = None
     u1 = u2 = u_near
     if brackets:
-        u2 = _bisect(slope, *brackets[0])
+        u2 = sf._solve_increasing(lambda u: -slope(u), *brackets[0], _U_RTOL)
         z_star = z(u2)
         # z falls from z* to a local minimum in the second bracket, then
         # rises past z* at u1; without a second bracket the minimum lies
         # within rounding of t_lower, past the scan's end.  gap >= 0 is
-        # a degenerate tangency.
+        # a degenerate tangency.  z(u_hi) below z* puts u1 within
+        # rounding of u_hi, where z leaps to +inf.
         u_dip = brackets[1][0] if len(brackets) > 1 else hi
         gap = z(u_dip) - z_star
         if gap < 0.0:
-            u1 = _bisect(lambda u: z(u) - z_star, u_dip, u_hi, gap)
+            u1 = min(sf._solve_increasing(lambda u: z(u) - z_star, u_dip,
+                                          u_hi, _U_RTOL), u_hi)
     # without a tangent the closest approach stands in for t1 = t2, so
     # the endpoints move continuously through the tangent birth
     t2 = min(max(null_sf(model, u2), t_lower), t_upper)

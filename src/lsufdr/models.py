@@ -286,18 +286,14 @@ def _tail_gap(u: float, alpha: float) -> float:
     """x - u for the fully-null normal crossing quantile x at u > 30.
 
     norm_logsf(x) = norm_logsf(u) - log(alpha) reads d*(u + d/2) -
-    _erfcx_ratio(u + d, u) = log(alpha) for d = x - u, which Newton's
-    method solves to full relative accuracy however large u is.
+    _erfcx_ratio(u + d, u) = log(alpha) for d = x - u, whose derivative
+    in d is x + 1/x up to O(1/x^3): Newton's method solves it to full
+    relative accuracy however large u is.
     """
     la = math.log(alpha)
-    d = la / u
-    for _ in range(8):
-        x = u + d
-        step = (d * (u + 0.5 * d) - _erfcx_ratio(x, u) - la) / (x + 1.0 / x)
-        d -= step
-        if abs(step) <= 1e-16 * abs(d):
-            break
-    return d
+    return sf._solve_increasing(
+        lambda d: d * (u + 0.5 * d) - _erfcx_ratio(u + d, u) - la,
+        2.0 * la / u, 0.0, 1e-16, lambda d: (u + d) + 1.0 / (u + d), la / u)
 
 
 def crossing_at(model: ModelSpec, u: float, alpha: float,
@@ -344,17 +340,17 @@ def crossing_at(model: ModelSpec, u: float, alpha: float,
 
 
 def disturbance_cdf(model: ModelSpec, z: float) -> float:
-    """Cdf W_Z of the disturbance variable at z."""
+    """Cdf W_Z of the disturbance variable at z, 0 below its support."""
     if model.family == NORMAL:
-        return sf.Phi(float(z))
+        return sf.Phi(_check_z(model, z))
+    z = float(z)
+    if z <= 0.0:
+        return 0.0
+    z = _check_z(model, z)
     if model.family == STUDENT_T:
-        z = float(z)
-        if z <= 0.0:
-            return 0.0
         # S = chi_nu variate / sqrt(nu), so P(S <= s) = F_chi(sqrt(nu) s)
         return sf.chi_cdf(math.sqrt(model.nu) * z, model.nu)
-    z = float(z)
-    return -math.expm1(-z) if z > 0.0 else 0.0
+    return -math.expm1(-z)
 
 
 # ---------------------------------------------------------------------------

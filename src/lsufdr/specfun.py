@@ -107,35 +107,32 @@ _ERF_Q4 = 2.33520497626869185e-3
 
 def _erf_small(x):
     # |x| <= 0.46875
+    a0, a1, a2, a3 = _ERF_A
+    b0, b1, b2, b3 = _ERF_B
     z = x * x
-    num = _ERF_A4 * z
-    den = z
-    for a, b in zip(_ERF_A[:3], _ERF_B[:3]):
-        num = (num + a) * z
-        den = (den + b) * z
-    return x * (num + _ERF_A[3]) / (den + _ERF_B[3])
+    return x * ((((_ERF_A4 * z + a0) * z + a1) * z + a2) * z + a3) \
+        / ((((z + b0) * z + b1) * z + b2) * z + b3)
 
 
 def _erfcx_mid(y):
     # 0.46875 < y <= 4
-    num = _ERF_C8 * y
-    den = y
-    for c, d in zip(_ERF_C, _ERF_D):
-        num = (num + c) * y
-        den = (den + d) * y
-    return (num + _ERF_C7) / (den + _ERF_D7)
+    c0, c1, c2, c3, c4, c5, c6 = _ERF_C
+    d0, d1, d2, d3, d4, d5, d6 = _ERF_D
+    num = (((((((_ERF_C8 * y + c0) * y + c1) * y + c2) * y + c3) * y + c4)
+            * y + c5) * y + c6) * y + _ERF_C7
+    den = (((((((y + d0) * y + d1) * y + d2) * y + d3) * y + d4) * y + d5)
+           * y + d6) * y + _ERF_D7
+    return num / den
 
 
 def _erfcx_large(y):
     # y > 4; takes a float or an array
+    p0, p1, p2, p3 = _ERF_P
+    q0, q1, q2, q3 = _ERF_Q
     z = 1.0 / (y * y)
-    num = _ERF_P5 * z
-    den = z
-    for p, q in zip(_ERF_P, _ERF_Q):
-        num = (num + p) * z
-        den = (den + q) * z
-    r = z * (num + _ERF_P4) / (den + _ERF_Q4)
-    return (_ONE_OVER_SQRT_PI - r) / y
+    num = ((((_ERF_P5 * z + p0) * z + p1) * z + p2) * z + p3) * z + _ERF_P4
+    den = ((((z + q0) * z + q1) * z + q2) * z + q3) * z + _ERF_Q4
+    return (_ONE_OVER_SQRT_PI - z * num / den) / y
 
 
 def _erfc_cody(x):
@@ -327,7 +324,7 @@ def norm_isf_log(lq):
     """
     if not isinstance(lq, (float, int)):
         return _lift(norm_isf_log, lq)
-    if lq > math.log(0.5) + 1e-15:
+    if not lq <= math.log(0.5) + 1e-15:
         raise ValueError("norm_isf_log requires lq <= log(1/2)")
     if lq >= math.log(0.075):
         d = -0.5 * math.expm1((lq + _LN2_HI) + _LN2_LO)
@@ -403,37 +400,48 @@ def _check_nu(nu: float) -> float:
     return nu
 
 
-def _solve_increasing(g, dens, x, hi, rtol):
-    """Root of an increasing g on [0, inf), from the seed x; dens = g'.
+def _solve_increasing(g, lo, hi, rtol, dens=None, x=None):
+    """Root of an increasing g with g(lo) < 0, bracketed from [lo, hi].
 
-    Quadruples hi until g(hi) >= 0, then takes Newton steps that fall
-    back to bisection when they leave the bracket, until a step is
-    below rtol relative.  The bisection is geometric while the lower
-    end is 0, so a root far below the seed takes a few steps.  Returns
-    inf when g < 0 at the largest double.
+    Moves the bracket up while g(hi) < 0 (hi quadruples, to at least 1)
+    and returns inf when g < 0 at the largest double.  With dens = g'
+    it takes Newton steps from the seed x; without, Illinois regula
+    falsi steps on the bracket (Dowell & Jarratt, BIT 11, 1971).  A step
+    that leaves the bracket is replaced by bisection, geometric while lo
+    is 0 so that a root far below hi takes a few steps.  Stops when a
+    step is below rtol relative.
     """
-    lo = 0.0
-    while g(hi) < 0.0:
+    g_hi = g(hi)
+    while g_hi < 0.0:
         if hi == _FLOAT_MAX:
             return math.inf  # the root lies past the double range
-        lo, hi = hi, min(hi * 4.0, _FLOAT_MAX)
-    x = min(max(x, lo), hi)
+        lo, hi = hi, min(max(4.0 * hi, 1.0), _FLOAT_MAX)
+        g_hi = g(hi)
+    x = lo if dens is None or x is None else min(max(x, lo), hi)
+    g_lo, side = math.nan, 0
     for _ in range(200):
         gx = g(x)
         if gx == 0.0:
             return x
         if gx < 0.0:
-            lo = x
+            if side < 0:
+                g_hi *= 0.5  # Illinois: an end kept twice running
+            lo, g_lo, side = x, gx, -1
         else:
-            hi = x
-        d = dens(x)
+            if side > 0:
+                g_lo *= 0.5
+            hi, g_hi, side = x, gx, 1
+        if dens is None:  # the secant through the bracket's ends
+            d = (g_hi - g_lo) / (hi - lo) if hi > lo else math.nan
+        else:
+            d = dens(x)
         x_new = x - gx / d if d > 0.0 else math.nan
         if not lo < x_new < hi:
             if lo == 0.0:  # sqrt(_FLOAT_MIN * hi), without underflow
                 x_new = min(_SQRT_FLOAT_MIN * math.sqrt(hi), 0.5 * hi)
             else:
                 x_new = 0.5 * lo + 0.5 * hi  # lo + hi may overflow
-        if abs(x_new - x) <= rtol * x_new:
+        if abs(x_new - x) <= rtol * abs(x_new):
             return x_new
         x = x_new
     return x
@@ -542,8 +550,8 @@ def t_isf(q, nu: float):
     if tail == 0.5:
         return 0.0
     x = norm_isf(tail)
-    x = _solve_increasing(lambda v: tail - t_sf(v, nu),
-                          lambda v: t_pdf(v, nu), x, max(2.0 * x, 1.0), 1e-13)
+    x = _solve_increasing(lambda v: tail - t_sf(v, nu), 0.0,
+                          max(2.0 * x, 1.0), 1e-13, lambda v: t_pdf(v, nu), x)
     return x if q <= 0.5 else -x
 
 
@@ -653,6 +661,6 @@ def chi_quantile(p, nu: float):
         a = 0.5 * nu
         x = math.exp((math.log(p) + math.log(a) + math.lgamma(a) + a * _LN2)
                      / nu)
-    return _solve_increasing(lambda v: chi_cdf(v, nu) - p,
-                             lambda v: math.exp(_chi_logpdf(v, nu)),
-                             x, max(4.0 * x, 1.0), 1e-14)
+    return _solve_increasing(lambda v: chi_cdf(v, nu) - p, 0.0,
+                             max(4.0 * x, 1.0), 1e-14,
+                             lambda v: math.exp(_chi_logpdf(v, nu)), x)

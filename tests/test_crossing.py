@@ -1,10 +1,12 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
+import lsufdr.crossing as crossing
 from lsufdr import specfun as sf
-from lsufdr.crossing import CrossingReport, crossing_report
+from lsufdr.crossing import CrossingReport, SolverError, crossing_report
 from lsufdr.models import ModelSpec, f_infinity_mixed, z_of_t
 
 
@@ -280,13 +282,50 @@ class TestCrossingReport:
 
 class TestReportInvariants:
     def test_ordering(self):
+        # alpha > 1/2 puts the normal window's upper end at u < 0; at
+        # rho = 0.999 and zeta = 0.5, u1 lies within rounding of u_hi
         for spec, alpha, zeta in ((ModelSpec.normal(0.2), 0.05, 0.5),
                                   (ModelSpec.normal(0.9), 0.05, 1.0),
+                                  (ModelSpec.normal(0.999), 0.05, 0.5),
+                                  (ModelSpec.normal(0.5), 0.7, 0.9),
+                                  (ModelSpec.normal(0.5), 0.7, 1.0),
+                                  (ModelSpec.normal(0.3), 0.9, 0.999),
+                                  (ModelSpec.normal(0.3), 0.9, 1.0),
                                   (ModelSpec.student_t(3.0), 0.05, 1.0),
                                   (ModelSpec.student_t(40.0), 0.2, 0.8)):
             rep = crossing_report(spec, alpha, zeta)
             assert rep.t_lower <= rep.t1 <= rep.t2 <= rep.t_upper
             assert rep.has_tangent == (rep.t1 < rep.t2)
+            u_lo, u_hi = rep.u_window
+            assert u_lo <= rep.u2 <= rep.u1 <= u_hi
+
+
+class TestSolverWork:
+    @staticmethod
+    def counting(monkeypatch, fn=None):
+        calls = []
+        original = crossing.crossing_at
+
+        def counted(model, u, alpha, zeta):
+            calls.append(u)
+            return (fn or original)(model, u, alpha, zeta)
+
+        monkeypatch.setattr(crossing, "crossing_at", counted)
+        return calls
+
+    def test_full_null_report_is_cheap(self, monkeypatch):
+        # regula falsi on dz/du: bisection spent about 50 calls here
+        calls = self.counting(monkeypatch)
+        rep = crossing_report(ModelSpec.normal(0.5), 0.05, 1.0)
+        assert rep.has_tangent
+        assert len(calls) <= 20
+
+    def test_slope_never_negative_raises(self, monkeypatch):
+        calls = self.counting(monkeypatch, lambda model, u, alpha, zeta:
+                              (0.0, u, 1.0))
+        with pytest.raises(SolverError, match="never turned negative"):
+            crossing_report(ModelSpec.normal(0.5), 0.05, 1.0)
+        assert max(calls) == sys.float_info.max
 
 
 class TestFullyNullOracle:

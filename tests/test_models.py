@@ -183,6 +183,8 @@ class TestGammaAtZero:
             with pytest.raises(ValueError, match="disturbance value is nan"):
                 sample_pvalues_conditional(
                     spec, ExtremeConfig(n=5, zeta=0.5, seed=1), math.nan)
+            with pytest.raises(ValueError, match="disturbance value is nan"):
+                disturbance_cdf(spec, math.nan)
 
     def test_exponential_slope_integrates_to_one(self):
         # E[gamma(Z)] = 1, the step behind the exact FDR identity
@@ -343,6 +345,12 @@ class TestSampling:
         # the chi cdf behind the t family squares its argument
         for spec in (NORMAL, STUDT, EXPO):
             assert disturbance_cdf(spec, math.inf) == 1.0
+
+    def test_disturbance_cdf_below_support(self):
+        for spec in (STUDT, EXPO):
+            for z in (-math.inf, -2.0, -0.0, 0.0):
+                assert disturbance_cdf(spec, z) == 0.0
+        assert disturbance_cdf(NORMAL, -math.inf) == 0.0
 
     def test_exponential_finite_shift_alternatives(self):
         spec = ModelSpec.exponential(false_theta=3.0)

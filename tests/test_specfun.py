@@ -115,6 +115,11 @@ class TestNormal:
             x = sf.norm_isf_log(lq)
             assert abs(sf.norm_logsf(x) - lq) < 1e-9 * abs(lq)
 
+    def test_norm_isf_log_domain(self):
+        for lq in (-0.69, 0.0, math.nan):
+            with pytest.raises(ValueError):
+                sf.norm_isf_log(lq)
+
 
 class TestStudentT:
     def test_center(self):
@@ -278,6 +283,59 @@ class TestChi:
             for p in rng.uniform(1e-8, 1.0 - 1e-8, 250):
                 x = sf.chi_quantile(float(p), nu)
                 assert abs(sf.chi_cdf(x, nu) - p) < 1e-9
+
+
+class TestSolveIncreasing:
+    """The package's one scalar bracketed root finder."""
+
+    @staticmethod
+    def counted(g):
+        calls = []
+
+        def wrapped(x):
+            calls.append(x)
+            return g(x)
+
+        return wrapped, calls
+
+    def test_regula_falsi_converges_fast(self):
+        # a smooth root without a derivative: bisection needs about 47
+        # halvings of [0.5, 4] to reach 1e-14 relative
+        g, calls = self.counted(lambda x: math.exp(x) - 5.0)
+        x = sf._solve_increasing(g, 0.5, 4.0, 1e-14)
+        assert x == pytest.approx(math.log(5.0), rel=1e-14)
+        assert len(calls) <= 20
+
+    def test_newton_with_derivative(self):
+        x = sf._solve_increasing(lambda x: x ** 3 - 10.0, 0.0, 4.0, 1e-13,
+                                 lambda x: 3.0 * x * x, 2.0)
+        assert x == pytest.approx(10.0 ** (1 / 3), rel=1e-13)
+
+    @pytest.mark.parametrize("lo, hi, root", [(-50.0, -10.0, -17.25),
+                                              (-3.0, 2.0, 0.75),
+                                              (-3.0, 2.0, -1e-3)])
+    def test_brackets_below_and_across_zero(self, lo, hi, root):
+        x = sf._solve_increasing(lambda x: math.atan(x - root), lo, hi, 1e-14)
+        assert x == pytest.approx(root, rel=1e-13)
+
+    def test_grows_a_negative_bracket(self):
+        # g(hi) < 0 moves the bracket up, from -8 through 1 and 4
+        x = sf._solve_increasing(lambda x: x - 3.0, -9.0, -8.0, 1e-14)
+        assert x == pytest.approx(3.0, rel=1e-14)
+
+    def test_infinite_value_at_hi(self):
+        # the secant through an infinite end is undefined: bisect
+        def g(x):
+            return math.inf if x >= 1.0 else math.log(x) + 1.0
+
+        x = sf._solve_increasing(g, 0.1, 1.0, 1e-14)
+        assert x == pytest.approx(math.exp(-1.0), rel=1e-13)
+
+    def test_root_past_the_double_range(self):
+        g, calls = self.counted(lambda x: -1.0)
+        assert sf._solve_increasing(g, 0.0, 1.0, 1e-14) == math.inf
+        assert calls[-1] == sys.float_info.max
+        assert len(calls) < 520
 
 
 class TestErfFamily:
