@@ -148,10 +148,13 @@ def _linear_null_quantile(u: np.ndarray, gamma: float,
     head = gamma * t_star
     if head >= 1.0:
         return u / gamma
-    out = np.where(u <= head,
-                   u / max(gamma, 1e-300),
-                   t_star + (u - head) * (1.0 - t_star) / (1.0 - head))
-    return out
+    # the upper branch in place on one array, which the head branch then
+    # overwrites where u <= head
+    out = u - head
+    out *= 1.0 - t_star
+    out /= 1.0 - head
+    out += t_star
+    return np.divide(u, max(gamma, 1e-300), out=out, where=u <= head)
 
 
 def _linear_null_cdf(t: float, gamma: float, t_star: float) -> float:

@@ -370,17 +370,108 @@ def make_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _rekey(rng: np.random.Generator, seed: int, *key: int) -> None:
-    """Restart rng, a Philox generator, where make_rng(seed, *key) starts.
+# numpy's SeedSequence hash (after O'Neill's seed_seq): a pool of 4
+# uint32 words filled and mixed under INIT_A/MULT_A, read out under
+# INIT_B/MULT_B
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_MASK32 = 0xFFFFFFFF
 
-    Cheaper than building a generator: only the key and counter are set.
+
+def _uint32_words(x: int) -> list[int]:
+    """x as little-endian uint32 words, as SeedSequence splits an entropy
+    integer: one word up to 2^32 - 1, and [0] for 0."""
+    words = [x & _MASK32]
+    while x > _MASK32:
+        x >>= 32
+        words.append(x & _MASK32)
+    return words
+
+
+def _seed_seq_pool(entropy: list[np.ndarray]) -> list[np.ndarray]:
+    """The mixed pool of SeedSequence(entropy) for a column of entropy
+    arrays, one uint32 array per entropy word."""
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * _MULT_A & _MASK32
+        value *= np.uint32(const)
+        value ^= value >> 16
+        return value
+
+    def mix(x, y):
+        r = x * _MIX_L - y * _MIX_R
+        r ^= r >> 16
+        return r
+
+    zeros = np.zeros_like(entropy[0])
+    pool = [hashmix(entropy[i] if i < len(entropy) else zeros)
+            for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    return pool
+
+
+def _substream_keys(seed: int, idx) -> np.ndarray:
+    """Philox keys of make_rng(seed, i) for each index i in idx (a range or
+    integers below 2^64), as the rows of a (len(idx), 2) uint64 array.
+
+    Row i is SeedSequence(entropy=(seed, i)).generate_state(2, uint64),
+    computed on uint32 columns, one pass for each entropy length.
     """
-    ss = np.random.SeedSequence(entropy=(int(seed), *map(int, key)))
+    if int(seed) < 0:
+        raise ValueError("seed must be a nonnegative integer")
+    if isinstance(idx, range) and max(idx.start, idx.stop) <= 2 ** 63:
+        idx = np.arange(idx.start, idx.stop, idx.step, dtype=np.uint64)
+    idx = np.asarray(idx, dtype=np.uint64).reshape(-1)
+    seed_words = _uint32_words(int(seed))
+    low = (idx & np.uint64(_MASK32)).astype(np.uint32)
+    high = (idx >> np.uint64(32)).astype(np.uint32)
+    wide = high != 0
+    keys = np.empty((idx.size, 2), np.uint64)
+    for rows, words in ((~wide, [low]), (wide, [low, high])):
+        if not rows.any():
+            continue
+        if not rows.all():
+            words = [w[rows] for w in words]
+        entropy = [np.full(words[0].size, w, np.uint32)
+                   for w in seed_words] + words
+        const = _INIT_B
+        out = []
+        for word in _seed_seq_pool(entropy):
+            word = word ^ np.uint32(const)
+            const = const * _MULT_B & _MASK32
+            word *= np.uint32(const)
+            word ^= word >> 16
+            out.append(word.astype(np.uint64))
+        keys[rows, 0] = out[0] | out[1] << np.uint64(32)
+        keys[rows, 1] = out[2] | out[3] << np.uint64(32)
+    return keys
+
+
+_ZEROS4 = np.zeros(4, np.uint64)  # read, never written, by _rekey
+
+
+def _rekey(rng: np.random.Generator, key: np.ndarray) -> None:
+    """Restart rng, a Philox generator, at the start of the substream
+    keyed by key, a row of `_substream_keys`.
+
+    Cheaper than building a generator: only the key, the counter and the
+    buffer are set, and the state setter copies them.
+    """
     rng.bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, np.uint64),
-                  "key": ss.generate_state(2, np.uint64)},
-        "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
+        "state": {"counter": _ZEROS4, "key": key},
+        "buffer": _ZEROS4, "buffer_pos": 4,
         "has_uint32": 0, "uinteger": 0,
     }
 
@@ -471,10 +562,22 @@ def _kept_pvalues(model: ModelSpec, z: np.ndarray, u: np.ndarray,
     # uniform it drops, if any
     top = (u - kept).max(axis=1, initial=-1.0)
     short = np.flatnonzero(top > 0.0)
-    if short.size:
-        kept[short[pvalues(model, z[short], top[short]) <= cutoff]] = True
     counts = np.count_nonzero(kept, axis=1)
-    p = pvalues(model, np.repeat(z, counts), u[kept])
+    # the guards ride along at the end of the candidates' kernel call
+    p = pvalues(model, np.concatenate((np.repeat(z, counts), z[short])),
+                np.concatenate((u[kept], top[short])))
+    split = p.size - short.size
+    p, guard = p[:split], p[split:]
+    back = short[guard <= cutoff]
+    if back.size:
+        # rows whose guard passes keep every uniform
+        full = np.empty(u.shape)
+        full[kept] = p
+        full[back] = pvalues(model, np.repeat(z[back], u.shape[1]),
+                             u[back].ravel()).reshape(back.size, -1)
+        kept[back] = True
+        counts[back] = u.shape[1]
+        p = full[kept]
     if p.size and not 0.0 <= p.min() <= p.max() <= 1.0:
         raise ValueError("p-values must lie in [0, 1]")
     return p, counts

@@ -4,7 +4,10 @@ Each replicate owns a counter-based generator substream derived from
 (seed, replicate index), so results are bit-identical for a given plan
 regardless of how replicates are distributed over workers.  Replicates
 are processed in fixed-size chunks whose partial sums are merged in
-chunk order.
+chunk order.  A chunk derives the Philox keys of all its replicates at
+once, with numpy's SeedSequence hash run on uint32 arrays
+(`models._substream_keys`), so replicate i draws exactly what
+make_rng(seed, i) would.
 
 Replicates are tail-only.  The step-up procedures at level alpha only
 ever reject p-values at or below alpha (the largest critical value),
@@ -20,8 +23,8 @@ substream, and about alpha*n p-values are sorted in place of n.
 Within a chunk, replicates run in blocks of up to _BLOCK_ELEMS uniforms
 (one replicate per block once n reaches it).  Only the draws loop over
 the replicates of a block: one Philox generator is rekeyed to each
-replicate's substream and draws its disturbance and uniforms into a
-row.  Thresholds, p-values, the padded sort, the step-up counts and the
+replicate's key and draws its disturbance and uniforms into a row.
+Thresholds, p-values, the padded sort, the step-up counts and the
 histogram then run once per block, and the block's terms are added to
 the running sums in replicate order, so the sums are those of one
 replicate at a time.
@@ -37,8 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import ExtremeConfig, ModelSpec, draw_disturbance, make_rng, \
-    _assemble, _check_z, _rekey, _sample_block, _uniform_count, \
-    f_infinity_mixed
+    _assemble, _check_z, _rekey, _sample_block, _substream_keys, \
+    _uniform_count, f_infinity_mixed
 from .stepup import _check_alpha, _stepdown_count, _stepup_count
 # lsu and lsd stay bound here: perfbench/tracing.py wraps them
 from .stepup import lsd, lsu  # noqa: F401
@@ -133,6 +136,7 @@ def _simulate_chunk(plan: SimulationPlan, start: int, stop: int,
     z = np.full(rows, math.nan if plan.conditional_z is None
                 else float(plan.conditional_z))
     rng = make_rng(config.seed)  # rekeyed before every replicate
+    keys = _substream_keys(config.seed, range(start, stop))
     sums = np.zeros(8)  # fdp, fdp^2, v/n, (v/n)^2, v, r/n, (r/n)^2, r
     hist = np.zeros(_HIST_BINS, dtype=np.int64)
     kept_v = np.empty(stop - start, dtype=np.int64) if keep else None
@@ -141,7 +145,7 @@ def _simulate_chunk(plan: SimulationPlan, start: int, stop: int,
         size = min(rows, stop - first)
         zb, ub = z[:size], u[:size]
         for j in range(size):
-            _rekey(rng, config.seed, first + j)
+            _rekey(rng, keys[first - start + j])
             if plan.conditional_z is None:
                 zb[j] = draw_disturbance(model, rng)
             rng.random(out=ub[j])
@@ -253,8 +257,9 @@ def convergence_study(plan: SimulationPlan, n_grid) -> list[ConvergenceRow]:
             else:
                 limit = np.ones_like(tgrid)
             dists = []
-            for i in range(plan.replicates):
-                rng = make_rng(cfg.seed, i)
+            rng = make_rng(cfg.seed)  # rekeyed before every replicate
+            for key in _substream_keys(cfg.seed, range(plan.replicates)):
+                _rekey(rng, key)
                 sample = _assemble(plan.model, cfg, z, rng)
                 ps = np.sort(sample.pvalues)
                 emp = np.searchsorted(ps, tgrid, side="right") / cfg.n

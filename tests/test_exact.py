@@ -5,6 +5,7 @@ import pytest
 
 from lsufdr.exact import (
     BoundarySpec,
+    _linear_null_quantile,
     LinearNullSpec,
     boundary_noncrossing_prob,
     exact_fdr_linear,
@@ -201,3 +202,18 @@ class TestRestrictedIdentity:
         lhs, rhs = restricted_fdr_check(spec, alpha=0.25, replicates=400000)
         se = math.sqrt(max(lhs * (1.0 - lhs), 1e-6) / 400000)
         assert abs(lhs - rhs) < 3 * se
+
+    @pytest.mark.parametrize("gamma,t_star", [(1.0, 0.1), (0.5, 0.125),
+                                              (30.0, 0.03), (0.0, 0.2),
+                                              (20.0, 0.05)])
+    def test_quantile_is_the_two_branch_formula(self, gamma, t_star):
+        # bit for bit: the head branch u/gamma up to gamma*t_star, the
+        # linear spread of the remaining mass above it
+        u = np.random.default_rng(5).random((400, 7))
+        u[0, :3] = 0.0, gamma * t_star, min(gamma * t_star, 1.0)
+        head = gamma * t_star
+        expect = u / gamma if head >= 1.0 else np.where(
+            u <= head, u / max(gamma, 1e-300),
+            t_star + (u - head) * (1.0 - t_star) / (1.0 - head))
+        assert np.array_equal(_linear_null_quantile(u, gamma, t_star),
+                              expect)

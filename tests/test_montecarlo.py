@@ -9,9 +9,11 @@ from lsufdr.models import (
     ExtremeConfig,
     ModelSpec,
     _assemble,
+    _kept_pvalues,
     _null_pvalues,
     _rekey,
     _shifted_pvalues,
+    _substream_keys,
     _uniform_threshold,
     draw_disturbance,
     make_rng,
@@ -446,15 +448,113 @@ class TestBlockKernel:
             s = run(plan, keep_replicates=True, workers=1)
             assert_matches_reference(s, plan, reference_summary(plan))
 
+    def test_chunk_past_zero_on_two_workers(self):
+        # a three-word seed, and a second chunk whose keys start at _CHUNK
+        plan = _plan(ModelSpec.normal(0.4), 20, 0.75, 0.15,
+                     montecarlo._CHUNK + 37, 2 ** 64 + 7, procedure="lsd")
+        s = run(plan, keep_replicates=True, workers=2)
+        assert_matches_reference(s, plan, reference_summary(plan))
+
     @pytest.mark.parametrize("seed", [0, 11, 2 ** 32 + 5, 2 ** 64 + 7])
     def test_rekey_reproduces_make_rng(self, seed):
         rng = make_rng(123)
-        for i in (0, 1, 2 ** 40):
+        idx = (0, 1, 2 ** 40)
+        for i, key in zip(idx, _substream_keys(seed, idx)):
             # leave buffered words behind, as a replicate's draws do
             rng.random(3)
             rng.integers(0, 10, size=3, dtype=np.uint32)
-            _rekey(rng, seed, i)
+            _rekey(rng, key)
             fresh = make_rng(seed, i)
             assert np.array_equal(rng.integers(0, 2 ** 31, 5, np.uint32),
                                   fresh.integers(0, 2 ** 31, 5, np.uint32))
             assert np.array_equal(rng.random(9), fresh.random(9))
+
+
+def seed_sequence_keys(seed, idx):
+    return np.array([np.random.SeedSequence(entropy=(seed, int(i)))
+                     .generate_state(2, np.uint64) for i in idx],
+                    dtype=np.uint64).reshape(-1, 2)
+
+
+class TestSubstreamKeys:
+    """The numpy hash must give SeedSequence's keys bit for bit: if a later
+    numpy changes SeedSequence, these fail rather than the streams
+    shifting unseen."""
+
+    # seeds of 1, 2 and 3 uint32 words
+    SEEDS = [0, 11, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5,
+             12_345_678_901_234_567_890_123]
+    # indices of 1 and 2 words
+    INDICES = list(range(3000)) + [2 ** 32 - 1, 2 ** 32, 2 ** 40,
+                                   2 ** 64 - 1]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_matches_seed_sequence(self, seed):
+        keys = _substream_keys(seed, self.INDICES)
+        assert keys.dtype == np.uint64 and keys.shape == (3004, 2)
+        assert np.array_equal(keys, seed_sequence_keys(seed, self.INDICES))
+
+    @pytest.mark.parametrize("seed", [7, 2 ** 64 + 5])
+    def test_range_across_two_to_the_32(self, seed):
+        idx = range(2 ** 32 - 40, 2 ** 32 + 40)
+        assert np.array_equal(_substream_keys(seed, idx),
+                              seed_sequence_keys(seed, idx))
+
+    def test_range_at_the_top_of_uint64(self):
+        idx = range(2 ** 64 - 5, 2 ** 64)
+        assert np.array_equal(_substream_keys(3, idx),
+                              seed_sequence_keys(3, idx))
+
+    def test_empty_and_negative(self):
+        assert _substream_keys(5, range(0)).shape == (0, 2)
+        with pytest.raises(ValueError, match="seed"):
+            _substream_keys(-1, [0])
+
+
+class TestGuardRidesAlong:
+    """The largest dropped uniform's p-value goes through the candidates'
+    kernel call; only rows whose guard passes take a second call."""
+
+    @staticmethod
+    def kernel_calls(monkeypatch):
+        calls = []
+
+        def counted(model, z, u):
+            calls.append(np.size(u))
+            return _null_pvalues(model, z, u)
+
+        monkeypatch.setattr(models, "_null_pvalues", counted)
+        return calls
+
+    def rows(self):
+        model = ModelSpec.normal(0.3)
+        rng = np.random.default_rng(8)
+        z = np.array([0.0, 3.0, 0.5])
+        u = np.clip(rng.random((3, 500)), 1e-16, 1.0 - 1e-16)
+        return model, z, u
+
+    def test_one_call_when_no_guard_passes(self, monkeypatch):
+        model, z, u = self.rows()
+        calls = self.kernel_calls(monkeypatch)
+        p, counts = _kept_pvalues(model, z, u, 0.1, False)
+        # every row drops some uniforms, and their guards ride along
+        assert len(calls) == 1 and calls[0] == p.size + 3
+        assert counts[1] == 0 < counts[0] < u.shape[1]
+
+    def test_second_call_only_for_passing_rows(self, monkeypatch):
+        model, z, u = self.rows()
+        monkeypatch.setattr(models, "_U_MARGIN", -0.05)
+        calls = self.kernel_calls(monkeypatch)
+        p, counts = _kept_pvalues(model, z, u, 0.1, False)
+        assert len(calls) == 2
+        back = counts == u.shape[1]
+        # at z = 3 the largest dropped uniform stays above the cutoff
+        assert back.tolist() == [True, False, True]
+        assert calls[1] == 2 * u.shape[1]
+        # each row's p-values are the kernel's on its largest uniforms,
+        # in draw order
+        ends = np.cumsum(counts)
+        for i in range(3):
+            largest = np.argsort(np.argsort(-u[i])) < counts[i]
+            assert np.array_equal(p[ends[i] - counts[i]:ends[i]],
+                                  _null_pvalues(model, z[i], u[i][largest]))
