@@ -236,10 +236,7 @@ def t_of_z(model: ModelSpec, alpha: float, zeta: float, z) -> np.ndarray:
     smallest normal double t has only a small absolute error.
     """
     alpha, zeta = _check_alpha_zeta(alpha, zeta)
-    z = np.asarray(z, dtype=np.float64)
-    flat = z.ravel()
-    if flat.size:
-        _check_z(model, flat.min())
+    z = np.asarray(_check_z(model, z), dtype=np.float64)
     if model.family == EXPONENTIAL:
         # the null cdf is linear on [0, 1/2], so the crossing equation
         # is linear in t below alpha <= 1/2; at zeta = 1 both lines pass
@@ -248,7 +245,7 @@ def t_of_z(model: ModelSpec, alpha: float, zeta: float, z) -> np.ndarray:
             return np.zeros(z.shape)
         return alpha * (1.0 - zeta) / (1.0 - 2.0 * alpha * zeta * np.exp(-z))
     rep = crossing_report(model, alpha, zeta)
-    return _report_roots(model, alpha, zeta, rep, flat).reshape(z.shape)
+    return _report_roots(model, alpha, zeta, rep, z.ravel()).reshape(z.shape)
 
 
 def t_of_z_normal(alpha: float, zeta: float, rho: float, z) -> np.ndarray:

@@ -217,7 +217,7 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--model", choices=sorted(_MODEL_CHOICES), default="normal")
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--zeta", type=float, action="append", default=None,
-                   help="repeatable; defaults to 0.5")
+                   help="repeatable for curve; defaults to 0.5")
     p.add_argument("--rho", type=float, default=None)
     p.add_argument("--nu", type=float, default=None)
     p.add_argument("--out", default=None)
@@ -278,6 +278,8 @@ def main(argv=None) -> int:
                                    zetas=tuple(args.zeta), grid=grid,
                                    out=args.out, fmt=args.format)
             return cmd_curve(request)
+        if len(args.zeta) > 1:
+            raise _UsageError("--zeta may be repeated only for curve")
         if args.command == "simulate":
             return cmd_simulate(args)
         if args.command == "crossing":

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -68,8 +67,8 @@ class ModelSpec:
             if self.nu is not None:
                 raise ValueError("nu does not apply to the normal family")
         elif self.family == STUDENT_T:
-            if self.nu is None or not self.nu > 0.0:
-                raise ValueError("student_t family requires nu > 0")
+            if self.nu is None or not 0.0 < self.nu < math.inf:
+                raise ValueError("student_t family requires finite nu > 0")
             if self.rho is not None:
                 raise ValueError("rho does not apply to the student_t family")
         else:
@@ -129,13 +128,24 @@ class ExtremeConfig:
         return self.n0 / self.n
 
 
-def _check_z(model: ModelSpec, z: float) -> float:
-    z = float(z)
-    if math.isnan(z):
+def _floats(x):
+    """x as a float if it is a number or 0-d, else as a float64 array."""
+    if isinstance(x, (float, int)):
+        return float(x)
+    x = np.asarray(x, dtype=np.float64)
+    return float(x) if x.ndim == 0 else x
+
+
+def _check_z(model: ModelSpec, z):
+    """z as `_floats` gives it, once its smallest value (nan if any is)
+    rules out nan and values below the family's support."""
+    z = _floats(z)
+    low = z if isinstance(z, float) else float(np.min(z, initial=math.inf))
+    if math.isnan(low):
         raise ValueError("disturbance value is nan")
-    if model.family == STUDENT_T and not z > 0.0:
+    if model.family == STUDENT_T and not low > 0.0:
         raise ValueError("student_t disturbance must satisfy s > 0")
-    if model.family == EXPONENTIAL and z < 0.0:
+    if model.family == EXPONENTIAL and low < 0.0:
         raise ValueError("exponential disturbance must satisfy z >= 0")
     return z
 
@@ -151,40 +161,50 @@ def _check_alpha_zeta(alpha: float, zeta: float) -> tuple[float, float]:
     return _check_alpha(alpha), _check_zeta(zeta)
 
 
-def _check_t(t: float) -> float:
-    t = float(t)
-    if not 0.0 <= t <= 1.0:
+def _check_t(t):
+    t = _floats(t)
+    if not np.all((0.0 <= t) & (t <= 1.0)):
         raise ValueError("t must lie in [0, 1]")
     return t
 
 
-def f_infinity(model: ModelSpec, t: float, z: float) -> float:
-    """Limiting conditional cdf of a null p-value given Z = z."""
-    t = _check_t(t)
-    z = _check_z(model, z)
-    if t == 0.0:
-        return 0.0
-    if t == 1.0:
-        return 1.0
+def _null_cdf(model: ModelSpec, t, z):
+    """F_inf(t | z) for 0 < t < 1, unchecked, on floats or broadcasting
+    arrays.  The exponential law holds for any real z: the sampler's
+    shifted alternatives are its nulls at z - false_theta."""
     if model.family == NORMAL:
-        arg = sf.norm_isf(t) / math.sqrt(model.rho_bar) \
-            + math.sqrt(model.rho / model.rho_bar) * z
-        return sf.norm_sf(arg)
+        return sf.norm_sf(sf.norm_isf(t) / math.sqrt(model.rho_bar)
+                          + math.sqrt(model.rho / model.rho_bar) * z)
     if model.family == STUDENT_T:
         return sf.norm_sf(z * sf.t_isf(t, model.nu))
-    # exponential, piecewise in t
-    ez = math.exp(-z)
-    if t <= 0.5:
-        return 2.0 * ez * t
-    upper = 1.0 - 0.5 * ez
-    if t <= upper:
-        return ez / (2.0 - 2.0 * t)
-    return 1.0
+    # exponential: 2 e^-z t up to t = 1/2, e^-z / (2 - 2t) beyond, at most 1
+    ez = math.exp(-z) if isinstance(z, float) else np.exp(-z)
+    return np.minimum(np.where(t <= 0.5, 2.0 * ez * t, ez / (2.0 - 2.0 * t)),
+                      1.0)
 
 
-def f_infinity_mixed(model: ModelSpec, t: float, z: float,
-                     zeta: float) -> float:
-    """Limiting cdf when a fraction 1 - zeta of p-values sits at zero."""
+def f_infinity(model: ModelSpec, t, z):
+    """Limiting conditional cdf F_inf(t | z) of a null p-value given Z = z.
+
+    t and z are floats, giving a float, or arrays that broadcast, giving
+    an array of their shape (numpy kernels rather than scalar calls).
+    """
+    t, z = _check_t(t), _check_z(model, z)
+    if isinstance(t, float) and isinstance(z, float):
+        return float(_null_cdf(model, t, z)) if 0.0 < t < 1.0 \
+            else float(t == 1.0)
+    if isinstance(t, float) and 0.0 < t < 1.0:
+        return _null_cdf(model, t, z)  # one null quantile of t for all z
+    t, z = np.broadcast_arrays(t, z)
+    out = (t == 1.0).astype(np.float64)  # F_inf(0 | z) = 0, F_inf(1 | z) = 1
+    inner = (0.0 < t) & (t < 1.0)
+    out[inner] = _null_cdf(model, t[inner], z[inner])
+    return out
+
+
+def f_infinity_mixed(model: ModelSpec, t, z, zeta: float):
+    """Limiting cdf when a fraction 1 - zeta of p-values sits at zero;
+    takes arrays as `f_infinity` does."""
     zeta = _check_zeta(zeta)
     return (1.0 - zeta) + zeta * f_infinity(model, t, z)
 
@@ -496,46 +516,11 @@ def _null_pvalues(model: ModelSpec, z, u: np.ndarray) -> np.ndarray:
     if model.family == STUDENT_T:
         x = np.asarray(sf.Phi_inv(u))
         return sf.t_sf(x / z, model.nu)
-    return _laplace_sf(-np.log1p(-u) - z)
-
-
-def _shifted_pvalues(model: ModelSpec, z, u: np.ndarray) -> np.ndarray:
-    """Exponential p-values under the location shift false_theta."""
-    return _laplace_sf(model.false_theta - np.log1p(-u) - z)
-
-
-def _laplace_sf(w: np.ndarray) -> np.ndarray:
-    # 1 - W_T(w) for the difference of two standard exponentials
-    w = np.asarray(w, dtype=np.float64)
+    # 1 - W(w) for w = E - z, W the cdf of a difference of two standard
+    # exponentials
+    w = -np.log1p(-u) - z
     half = 0.5 * np.exp(-np.abs(w))
     return np.where(w <= 0.0, 1.0 - half, half)
-
-
-@lru_cache(maxsize=16)
-def _t_critical(cutoff: float, nu: float) -> float:
-    return sf.t_isf(cutoff, nu)
-
-
-def _uniform_threshold(model: ModelSpec, z, cutoff: float,
-                       shifted: bool = False):
-    """Smallest uniform whose exact p-value is at or below cutoff.
-
-    Elementwise in z; 0 when cutoff >= 1.  `shifted` selects the
-    exponential family's false_theta alternatives instead of its nulls.
-    """
-    if cutoff >= 1.0:
-        return np.zeros_like(z)
-    if model.family == NORMAL:
-        x = (sf.norm_isf(cutoff) + math.sqrt(model.rho) * z) \
-            / math.sqrt(model.rho_bar)
-        return sf.Phi(x)
-    if model.family == STUDENT_T:
-        return sf.Phi(z * _t_critical(cutoff, model.nu))
-    # p <= cutoff once the Laplace variate w = E - shift reaches w_c
-    w_c = math.log(0.5 / cutoff) if cutoff < 0.5 \
-        else math.log(2.0 - 2.0 * cutoff)
-    shift = z - model.false_theta if shifted else z
-    return np.maximum(-np.expm1(-(shift + w_c)), 0.0)
 
 
 def _uniform_count(model: ModelSpec, config: ExtremeConfig) -> int:
@@ -545,18 +530,18 @@ def _uniform_count(model: ModelSpec, config: ExtremeConfig) -> int:
 
 
 def _kept_pvalues(model: ModelSpec, z: np.ndarray, u: np.ndarray,
-                  cutoff: float, shifted: bool):
-    """(p, counts): the p-values of row i of u that can lie at or below
-    cutoff, row after row, and how many each row keeps.
+                  cutoff: float):
+    """(p, counts): the null p-values of row i of u, at disturbance z[i],
+    that can lie at or below cutoff, row after row, and how many each
+    row keeps.
 
-    The p-values are decreasing in u, so a row drops its uniforms below
-    the threshold less a margin, unless the largest one it drops still
-    maps to a p-value at or below the cutoff; then it keeps them all.
+    The p-values fall as u rises, so p <= cutoff exactly when u is at
+    least 1 - F_inf(cutoff | z).  A row drops its uniforms below that
+    threshold less a margin, unless the largest one it drops still maps
+    to a p-value at or below the cutoff; then it keeps them all.
     """
-    pvalues = _shifted_pvalues if shifted else _null_pvalues
-    lo = np.minimum(np.maximum(
-        _uniform_threshold(model, z, cutoff, shifted) - _U_MARGIN, _U_TINY),
-        1.0 - _U_TINY)
+    f = _null_cdf(model, cutoff, z) if cutoff < 1.0 else np.ones_like(z)
+    lo = np.minimum(np.maximum(1.0 - f - _U_MARGIN, _U_TINY), 1.0 - _U_TINY)
     kept = u >= lo[:, None]
     # u - kept is negative where kept, so a row's max is the largest
     # uniform it drops, if any
@@ -564,8 +549,8 @@ def _kept_pvalues(model: ModelSpec, z: np.ndarray, u: np.ndarray,
     short = np.flatnonzero(top > 0.0)
     counts = np.count_nonzero(kept, axis=1)
     # the guards ride along at the end of the candidates' kernel call
-    p = pvalues(model, np.concatenate((np.repeat(z, counts), z[short])),
-                np.concatenate((u[kept], top[short])))
+    p = _null_pvalues(model, np.concatenate((np.repeat(z, counts), z[short])),
+                      np.concatenate((u[kept], top[short])))
     split = p.size - short.size
     p, guard = p[:split], p[split:]
     back = short[guard <= cutoff]
@@ -573,8 +558,8 @@ def _kept_pvalues(model: ModelSpec, z: np.ndarray, u: np.ndarray,
         # rows whose guard passes keep every uniform
         full = np.empty(u.shape)
         full[kept] = p
-        full[back] = pvalues(model, np.repeat(z[back], u.shape[1]),
-                             u[back].ravel()).reshape(back.size, -1)
+        full[back] = _null_pvalues(model, np.repeat(z[back], u.shape[1]),
+                                   u[back].ravel()).reshape(back.size, -1)
         kept[back] = True
         counts[back] = u.shape[1]
         p = full[kept]
@@ -602,9 +587,11 @@ def _sample_block(model: ModelSpec, config: ExtremeConfig, z: np.ndarray,
     """
     n0 = config.n0
     np.clip(u, _U_TINY, 1.0 - _U_TINY, out=u)
-    nulls, c0 = _kept_pvalues(model, z, u[:, :n0], cutoff, False)
+    nulls, c0 = _kept_pvalues(model, z, u[:, :n0], cutoff)
     if u.shape[1] > n0:
-        falses, c1 = _kept_pvalues(model, z, u[:, n0:], cutoff, True)
+        # shifted alternatives are nulls at disturbance z - false_theta
+        falses, c1 = _kept_pvalues(model, z - model.false_theta, u[:, n0:],
+                                   cutoff)
     else:
         falses, c1 = 0.0, np.full(u.shape[0], config.n1)
     ends = c0 + c1

@@ -13,12 +13,12 @@ Replicates are tail-only.  The step-up procedures at level alpha only
 ever reject p-values at or below alpha (the largest critical value),
 and given the disturbance every p-value is a decreasing function of its
 uniform draw.  So each replicate draws all n uniforms, but maps through
-the quantile, the p-value kernel and the sort only those above one
-closed-form threshold per family (lowered by a small margin, and
-checked on the largest uniform it drops); the step-up then compares
-these candidates with the critical values i*alpha/n of the full n.  The
-rejection counts equal those of the full p-value vector on the same
-substream, and about alpha*n p-values are sorted in place of n.
+the quantile, the p-value kernel and the sort only those at or above
+1 - F_inf(alpha | z) (lowered by a small margin, and checked on the
+largest uniform it drops); the step-up then compares these candidates
+with the critical values i*alpha/n of the full n.  The rejection counts
+equal those of the full p-value vector on the same substream, and about
+alpha*n p-values are sorted in place of n.
 
 Within a chunk, replicates run in blocks of up to _BLOCK_ELEMS uniforms
 (one replicate per block once n reaches it).  Only the draws loop over
@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -239,23 +239,14 @@ def convergence_study(plan: SimulationPlan, n_grid) -> list[ConvergenceRow]:
     """
     rows = []
     for n in n_grid:
-        cfg = ExtremeConfig(n=int(n), zeta=plan.config.zeta,
-                            seed=plan.config.seed)
-        sub = SimulationPlan(model=plan.model, config=cfg, alpha=plan.alpha,
-                             replicates=plan.replicates,
-                             conditional_z=plan.conditional_z,
-                             procedure=plan.procedure)
-        summary = run(sub, keep_replicates=False)
+        cfg = replace(plan.config, n=int(n))
+        summary = run(replace(plan, config=cfg), keep_replicates=False)
         supdist = None
         if plan.conditional_z is not None and cfg.zeta > 0.0:
             z = float(plan.conditional_z)
             tgrid = np.linspace(0.0, 1.0, 1001)
-            zeta_n = cfg.zeta_n
-            if zeta_n > 0.0:
-                limit = np.array([f_infinity_mixed(plan.model, t, z, zeta_n)
-                                  for t in tgrid.tolist()])
-            else:
-                limit = np.ones_like(tgrid)
+            limit = f_infinity_mixed(plan.model, tgrid, z, cfg.zeta_n) \
+                if cfg.zeta_n > 0.0 else np.ones_like(tgrid)
             dists = []
             rng = make_rng(cfg.seed)  # rekeyed before every replicate
             for key in _substream_keys(cfg.seed, range(plan.replicates)):

@@ -151,6 +151,16 @@ class TestSimulate:
         assert main(["simulate", "--model", "exponential", "--n", "10",
                      "--conditional-z", "-0.5"]) == 1
 
+    def test_infinite_nu_usage_error(self, capsys):
+        assert main(["simulate", "--model", "t", "--nu", "inf",
+                     "--n", "10", "--reps", "5"]) == 1
+        assert "finite nu" in capsys.readouterr().err
+
+    def test_repeated_zeta_usage_error(self, capsys):
+        assert main(["simulate", "--model", "exponential", "--n", "10",
+                     "--reps", "5", "--zeta", "0.5", "--zeta", "0.9"]) == 1
+        assert "--zeta" in capsys.readouterr().err
+
 
 class TestCrossing:
     def test_full_null_report(self, capsys):
@@ -180,6 +190,16 @@ class TestCrossing:
     def test_exponential_rejected(self, capsys):
         assert main(["crossing", "--model", "exponential",
                      "--alpha", "0.05", "--zeta", "0.5"]) == 1
+
+    def test_infinite_nu_usage_error(self, capsys):
+        assert main(["crossing", "--model", "t", "--nu", "inf",
+                     "--alpha", "0.05", "--zeta", "0.5"]) == 1
+        assert "finite nu" in capsys.readouterr().err
+
+    def test_repeated_zeta_usage_error(self, capsys):
+        assert main(["crossing", "--model", "normal", "--rho", "0.5",
+                     "--zeta", "0.5", "--zeta", "0.9"]) == 1
+        assert "--zeta" in capsys.readouterr().err
 
 
 class TestUsage:

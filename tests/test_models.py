@@ -38,6 +38,9 @@ class TestSpecValidation:
             ModelSpec(family="student_t")
         with pytest.raises(ValueError):
             ModelSpec.student_t(0.0)
+        for nu in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite nu"):
+                ModelSpec.student_t(nu)
 
     def test_exponential_bare(self):
         spec = ModelSpec.exponential()
@@ -129,6 +132,82 @@ class TestFInfinity:
         for t in np.arange(0.1, 0.95, 0.1):
             for x0 in (-1.0, 0.0, 1.0):
                 assert abs(f_infinity(spec, float(t), x0) - t) < 1e-3
+
+
+class TestFInfinityArrays:
+    """Arrays take the numpy kernels: the scalar calls' values to 1e-13
+    relative, the same endpoints and the same input checks."""
+
+    TS = np.concatenate(([1e-12, 1e-6, 1e-3], np.linspace(0.01, 0.99, 25),
+                         [0.999, 1.0 - 1e-9]))
+
+    @pytest.mark.parametrize("spec,zs", [
+        (NORMAL, (-3.0, -0.4, 0.0, 1.1, 4.0)),
+        (STUDT, (0.05, 0.6, 1.0, 2.5)),
+        (EXPO, (0.0, 0.3, 1.0, 5.0)),
+    ])
+    def test_matches_scalar_calls(self, spec, zs):
+        t, z = np.meshgrid(self.TS, zs)
+        vals = f_infinity(spec, t, z)
+        assert vals.shape == t.shape
+        ref = np.array([f_infinity(spec, ti, zi)
+                        for ti, zi in zip(t.ravel().tolist(),
+                                          z.ravel().tolist())])
+        assert np.allclose(vals.ravel(), ref, rtol=1e-13, atol=0.0)
+
+    def test_endpoints_and_broadcasting(self):
+        t = np.array([0.0, 0.2, 1.0, 0.7])[:, None]
+        z = np.array([-1.0, 0.0, 2.0])
+        for spec, zs in ((NORMAL, z), (STUDT, z + 1.5), (EXPO, z + 1.0)):
+            vals = f_infinity(spec, t, zs)
+            assert vals.shape == (4, 3)
+            assert np.all(vals[0] == 0.0) and np.all(vals[2] == 1.0)
+            for i, j in np.ndindex(vals.shape):
+                assert vals[i, j] == pytest.approx(
+                    f_infinity(spec, float(t[i, 0]), float(zs[j])),
+                    rel=1e-13)
+            assert np.array_equal(f_infinity_mixed(spec, t, zs, 0.8),
+                                  (1.0 - 0.8) + 0.8 * vals)
+
+    def test_float_t_takes_one_quantile(self, monkeypatch):
+        calls, t_isf = [], sf.t_isf
+
+        def counted(q, nu):
+            calls.append(q)
+            return t_isf(q, nu)
+
+        zs = np.linspace(0.1, 3.0, 50)
+        expected = f_infinity(STUDT, np.full(zs.shape, 0.3), zs)
+        monkeypatch.setattr(sf, "t_isf", counted)
+        vals = f_infinity(STUDT, 0.3, zs)
+        assert calls == [0.3]
+        assert np.allclose(vals, expected, rtol=1e-13, atol=0.0)
+        assert np.array_equal(f_infinity(STUDT, 1.0, zs), np.ones(50))
+
+    def test_floats_and_zero_d_give_floats(self):
+        val = f_infinity(NORMAL, np.float64(0.3), np.array(0.2))
+        assert type(val) is float
+        assert val == f_infinity(NORMAL, 0.3, 0.2)
+        assert f_infinity(EXPO, np.array([]), 0.5).shape == (0,)
+
+    @pytest.mark.parametrize("spec,t,z,msg", [
+        (NORMAL, 0.3, math.nan, "disturbance value is nan"),
+        (STUDT, 0.3, math.nan, "disturbance value is nan"),
+        (EXPO, 0.3, math.nan, "disturbance value is nan"),
+        (STUDT, 0.3, 0.0, "s > 0"),
+        (STUDT, 0.3, -1.0, "s > 0"),
+        (EXPO, 0.3, -0.5, "z >= 0"),
+        (NORMAL, -0.1, 0.0, "t must lie"),
+        (STUDT, 1.5, 1.0, "t must lie"),
+        (EXPO, math.nan, 0.5, "t must lie"),
+    ])
+    def test_checks_as_for_floats(self, spec, t, z, msg):
+        with pytest.raises(ValueError, match=msg):
+            f_infinity(spec, t, z)
+        for order in (slice(None), slice(None, None, -1)):
+            with pytest.raises(ValueError, match=msg):
+                f_infinity(spec, np.array([0.5, t])[order],
+                           np.array([1.0, z])[order])
 
 
 class TestMixed:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -10,11 +11,10 @@ from lsufdr.models import (
     ModelSpec,
     _assemble,
     _kept_pvalues,
+    _null_cdf,
     _null_pvalues,
     _rekey,
-    _shifted_pvalues,
     _substream_keys,
-    _uniform_threshold,
     draw_disturbance,
     make_rng,
 )
@@ -278,7 +278,8 @@ class TestTailOnlyEngine:
 
     def test_threshold_below_clip_keeps_every_uniform(self):
         model = ModelSpec.normal(0.5)
-        assert _uniform_threshold(model, -20.0, 0.05) < 1e-16
+        # the threshold 1 - F(cutoff | z) lies below the clip
+        assert 1.0 - _null_cdf(model, 0.05, -20.0) < 1e-16
         cfg = ExtremeConfig(n=500, zeta=1.0, seed=2)
         tail, full = self.both(model, cfg, -20.0, 0.05)
         assert np.array_equal(tail.pvalues, full.pvalues)
@@ -335,15 +336,23 @@ class TestTailOnlyEngine:
     ])
     def test_threshold_is_where_the_pvalue_crosses_cutoff(self, model, z,
                                                           cutoff):
-        pairs = [(_uniform_threshold(model, z, cutoff),
-                  lambda u: _null_pvalues(model, z, u))]
+        # p <= cutoff from u = 1 - F(cutoff | z) on; the exponential
+        # family's shifted alternatives are its nulls at z - false_theta
+        disturbances = [z]
         if model.family == "exponential":
-            shifted = ModelSpec.exponential(false_theta=0.5)
-            pairs.append((_uniform_threshold(shifted, z, cutoff, True),
-                          lambda u: _shifted_pvalues(shifted, z, u)))
-        for thr, pvalues in pairs:
+            theta = 0.5
+            disturbances.append(z - theta)
+            u = np.array([0.1, 0.5, 0.9])
+            w = theta - np.log1p(-u) - z
+            laplace_sf = np.where(w <= 0.0, 1.0 - 0.5 * np.exp(w),
+                                  0.5 * np.exp(-w))
+            assert np.allclose(_null_pvalues(model, z - theta, u),
+                               laplace_sf, rtol=1e-14, atol=0.0)
+        for zz in disturbances:
+            thr = 1.0 - _null_cdf(model, cutoff, zz)
             assert 1e-3 < thr < 1.0 - 1e-3
-            below, above = pvalues(np.array([thr - 1e-7, thr + 1e-7]))
+            below, above = _null_pvalues(model, zz,
+                                         np.array([thr - 1e-7, thr + 1e-7]))
             assert below > cutoff >= above
 
 
@@ -476,6 +485,62 @@ def seed_sequence_keys(seed, idx):
                     dtype=np.uint64).reshape(-1, 2)
 
 
+class TestPinnedCounts:
+    """The per-replicate (v, r) of small seeded plans, pinned as digests.
+
+    The other engine tests compare it with references built from the
+    same draws and kernels, which a change to either would move too.
+    Each digest is the sha256 of the int64 v counts followed by the r
+    counts, from one worker at seed 7.
+    """
+
+    PLANS = {
+        "normal_lsu": (ModelSpec.normal(0.3), 200, 0.8, 0.1, 1000, None,
+                       "lsu", "c709793857ad6900163311f0ef8dc9c9"
+                              "821ad1cd52e0e6620b1a995898757c5b"),
+        "normal_lsd": (ModelSpec.normal(0.3), 200, 0.8, 0.1, 1000, None,
+                       "lsd", "88c1d3dc732695d12bd077b5fee223d4"
+                              "8d24a2c9b48db18a32fc375877ec6316"),
+        # several blocks in each of two chunks
+        "normal_blocks": (ModelSpec.normal(0.7), 50, 0.5, 0.2, 3000, None,
+                          "lsd", "3fa42f9fab780e3e319f4a9fd9a685ea"
+                                 "2cae26142b98736a239c12f81326de74"),
+        "t_lsu": (ModelSpec.student_t(4.0), 150, 0.8, 0.25, 600, None,
+                  "lsu", "f2933a0adb9c9ffe5aa20f83c12190084"
+                         "edfb6e898ecb092fbee91153dc45565"),
+        "t_lsd": (ModelSpec.student_t(4.0), 150, 0.8, 0.25, 600, None,
+                  "lsd", "99b30bff985b829e41fc19e9d53ab770d"
+                         "0507822b1c27815ab1c383aa666aea1"),
+        "exponential_lsu": (ModelSpec.exponential(), 200, 0.7, 0.3, 1000,
+                            None, "lsu", "c01357ec2a2e05322c296597e92550ff"
+                                         "a61ff27782376368a85d9c06472dcafa"),
+        "exponential_lsd": (ModelSpec.exponential(), 200, 0.7, 0.3, 1000,
+                            None, "lsd", "ca13d6b847993ad65223db6b9f203018"
+                                         "df59a488f215330853ed3251646f8386"),
+        "shifted_lsu": (ModelSpec.exponential(3.0), 200, 0.6, 0.1, 1000,
+                        None, "lsu", "f950b44a2af69e2681c4c8c6358bebb7"
+                                     "506d97d5f482d0ea34d54a39e43abb3b"),
+        "shifted_lsd": (ModelSpec.exponential(3.0), 200, 0.6, 0.1, 1000,
+                        None, "lsd", "cce21a037b6d85e353cf3231296dffe4"
+                                     "bebf7bcc441845fe68216e13a01a90d9"),
+        "normal_conditional": (ModelSpec.normal(0.5), 300, 0.9, 0.1, 300,
+                               -0.3, "lsu",
+                               "056247450835320868e905a0829ab0e7"
+                               "d4368555ddb34fa21ece77b490f7a42d"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PLANS))
+    def test_counts_digest(self, name):
+        model, n, zeta, alpha, reps, z, proc, digest = self.PLANS[name]
+        plan = SimulationPlan(model=model,
+                              config=ExtremeConfig(n=n, zeta=zeta, seed=7),
+                              alpha=alpha, replicates=reps, conditional_z=z,
+                              procedure=proc)
+        s = run(plan, keep_replicates=True, workers=1)
+        counts = np.stack((s.v_counts, s.r_counts)).astype("<i8")
+        assert hashlib.sha256(counts.tobytes()).hexdigest() == digest
+
+
 class TestSubstreamKeys:
     """The numpy hash must give SeedSequence's keys bit for bit: if a later
     numpy changes SeedSequence, these fail rather than the streams
@@ -536,7 +601,7 @@ class TestGuardRidesAlong:
     def test_one_call_when_no_guard_passes(self, monkeypatch):
         model, z, u = self.rows()
         calls = self.kernel_calls(monkeypatch)
-        p, counts = _kept_pvalues(model, z, u, 0.1, False)
+        p, counts = _kept_pvalues(model, z, u, 0.1)
         # every row drops some uniforms, and their guards ride along
         assert len(calls) == 1 and calls[0] == p.size + 3
         assert counts[1] == 0 < counts[0] < u.shape[1]
@@ -545,7 +610,7 @@ class TestGuardRidesAlong:
         model, z, u = self.rows()
         monkeypatch.setattr(models, "_U_MARGIN", -0.05)
         calls = self.kernel_calls(monkeypatch)
-        p, counts = _kept_pvalues(model, z, u, 0.1, False)
+        p, counts = _kept_pvalues(model, z, u, 0.1)
         assert len(calls) == 2
         back = counts == u.shape[1]
         # at z = 3 the largest dropped uniform stays above the cutoff
