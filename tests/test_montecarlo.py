@@ -488,8 +488,9 @@ def seed_sequence_keys(seed, idx):
 class TestPinnedCounts:
     """The per-replicate (v, r) of small seeded plans, pinned as digests.
 
-    The other engine tests compare it with references built from the
-    same draws and kernels, which a change to either would move too.
+    The other engine tests compare the engine with references built
+    from the same draws and kernels, which a change to either would
+    move too.
     Each digest is the sha256 of the int64 v counts followed by the r
     counts, from one worker at seed 7.
     """
