@@ -177,8 +177,11 @@ def _null_cdf(model: ModelSpec, t, z):
                           + math.sqrt(model.rho / model.rho_bar) * z)
     if model.family == STUDENT_T:
         return sf.norm_sf(z * sf.t_isf(t, model.nu))
-    # exponential: 2 e^-z t up to t = 1/2, e^-z / (2 - 2t) beyond, at most 1
-    ez = math.exp(-z) if isinstance(z, float) else np.exp(-z)
+    # exponential: 2 e^-z t up to t = 1/2, e^-z / (2 - 2t) beyond, at most
+    # 1.  Bounding -z at 709 keeps e^-z finite; past the bound the law is 1
+    # for every t above 1e-308 either way.
+    ez = math.exp(min(-z, 709.0)) if isinstance(z, float) \
+        else np.exp(np.minimum(-z, 709.0))
     return np.minimum(np.where(t <= 0.5, 2.0 * ez * t, ez / (2.0 - 2.0 * t)),
                       1.0)
 

@@ -11,14 +11,21 @@ result is a float64 array of its shape, equal element by element to the
 scalar calls, and a 0-d array gives a float.  Arrays are mapped over the
 scalar code, except in numpy kernels for the Monte Carlo sampler and
 `asymptotics.t_of_z`, where mapping 1e5 elements is several times
-slower: Cody's erfc (TOMS 1969) behind `erfc`, `Phi` and `norm_sf`, a
-transcription of AS241 behind `Phi_inv` and `norm_isf`, and `phi`.
-These six agree with their scalar calls to 1e-13 relative rather than
-bit for bit.
+slower:
+- Cody's erfc (TOMS 1969) behind `erfc`, `Phi` and `norm_sf`, a
+  transcription of AS241 behind `Phi_inv` and `norm_isf`, and `phi`.
+  These six agree with their scalar calls to 1e-13 relative rather than
+  bit for bit.
+- The incomplete beta fraction run on all elements in lockstep behind
+  `t_sf`, `t_cdf`, `t_logsf`, `t_pdf` and `t_logpdf`.  These five are
+  exact: they repeat the scalar code's operations in numpy, whose
+  + - * / round as Python's do, and map the standard library's
+  transcendentals over the elements.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import statistics
 import sys
@@ -58,17 +65,25 @@ _SQRT_FLOAT_MIN = math.sqrt(_FLOAT_MIN)
 
 
 def _dispatch(x, fn):
+    """fn on x as a 1-d float64 array, in x's shape; a float for a 0-d x."""
     arr = np.asarray(x, dtype=np.float64)
-    out = fn(np.atleast_1d(arr))
+    out = fn(arr.ravel())
     if arr.ndim == 0:
         return float(out[0])
     return out.reshape(arr.shape)
 
 
+def _each(fn, a, *args):
+    """fn(v, *args) for every element v of the 1-d array a.  The t
+    kernels map the standard library's transcendentals this way:
+    numpy's differ from them in the last bit."""
+    return np.fromiter(map(fn, a.tolist(), *map(itertools.repeat, args)),
+                       dtype=np.float64, count=a.size)
+
+
 def _lift(fn, x, *args):
     """fn(v, *args) for every element v of the array x."""
-    return _dispatch(x, lambda a: np.array(
-        [fn(v, *args) for v in a.ravel().tolist()], dtype=np.float64))
+    return _dispatch(x, lambda a: _each(fn, a, *args))
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +408,43 @@ def _betacf(a: float, b: float, x: float) -> float:
                        f"(a={a}, b={b}, x={x})")
 
 
+def _clamp_fpmin(v):
+    return np.where(np.abs(v) < _BETA_FPMIN, _BETA_FPMIN, v)
+
+
+def _betacf_array(a: float, b: float, x):
+    """`_betacf` on a non-empty 1-d array x: the same steps on every
+    element in lockstep, each element retired at its own converged step."""
+    qab = a + b
+    qap = a + 1.0
+    qam = a - 1.0
+    out = np.empty_like(x)
+    idx = np.arange(x.size)
+    c = np.ones_like(x)
+    d = 1.0 / _clamp_fpmin(1.0 - qab * x / qap)
+    h = d
+    for m in range(1, _BETA_MAXIT + 1):
+        m2 = 2 * m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 / _clamp_fpmin(1.0 + aa * d)
+        c = _clamp_fpmin(1.0 + aa / c)
+        h = h * (d * c)
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 / _clamp_fpmin(1.0 + aa * d)
+        c = _clamp_fpmin(1.0 + aa / c)
+        delta = d * c
+        h = h * delta
+        done = np.abs(delta - 1.0) < _BETA_EPS
+        if done.any():
+            out[idx[done]] = h[done]
+            keep = ~done
+            idx, x, c, d, h = idx[keep], x[keep], c[keep], d[keep], h[keep]
+            if not idx.size:
+                return out
+    raise RuntimeError(f"incomplete beta cf failed to converge "
+                       f"(a={a}, b={b}, x={x[0]})")
+
+
 def _check_nu(nu: float) -> float:
     nu = float(nu)
     if not nu > 0.0:
@@ -450,7 +502,8 @@ def _solve_increasing(g, lo, hi, rtol, dens=None, x=None):
 def t_pdf(x, nu: float):
     """Student-t density."""
     if not isinstance(x, (float, int)):
-        return _lift(t_pdf, x, nu)
+        return _dispatch(
+            x, lambda a: _each(math.exp, _t_logpdf_array(a, _check_nu(nu))))
     return math.exp(t_logpdf(x, nu))
 
 
@@ -470,13 +523,41 @@ def _t_log_w(x: float, nu: float):
     return log_1mw - 2.0 * log_y, log_1mw
 
 
+def _t_log_w_array(x, nu: float):
+    """`_t_log_w` on a 1-d array of nonzero x, with the same operations;
+    its `** 2` stays the C library's pow, which is not always y * y."""
+    ax = np.abs(x)
+    log_w, log_1mw = np.empty_like(ax), np.empty_like(ax)
+    near = ax <= math.sqrt(nu)
+    if near.any():
+        y = ax[near] / math.sqrt(nu)
+        lw = -_each(math.log1p, y * y)
+        log_w[near], log_1mw[near] = lw, lw + 2.0 * _each(math.log, y)
+    far = ~near
+    if far.any():
+        af = ax[far]
+        log_y = _each(math.log, af) - 0.5 * math.log(nu)
+        log_1mw[far] = -_each(math.log1p, _each(pow, math.sqrt(nu) / af, 2))
+        log_w[far] = log_1mw[far] - 2.0 * log_y
+    return log_w, log_1mw
+
+
 def t_logpdf(x, nu: float):
     """Log of the Student-t density."""
     if not isinstance(x, (float, int)):
-        return _lift(t_logpdf, x, nu)
+        return _dispatch(x, lambda a: _t_logpdf_array(a, _check_nu(nu)))
     nu = _check_nu(nu)
     x = float(x)
     log_w = _t_log_w(x, nu)[0] if x != 0.0 else 0.0
+    return (math.lgamma(0.5 * (nu + 1.0)) - math.lgamma(0.5 * nu)
+            - 0.5 * math.log(nu * math.pi) + 0.5 * (nu + 1.0) * log_w)
+
+
+def _t_logpdf_array(x, nu: float):
+    log_w = np.zeros_like(x)
+    nonzero = x != 0.0
+    if nonzero.any():
+        log_w[nonzero] = _t_log_w_array(x[nonzero], nu)[0]
     return (math.lgamma(0.5 * (nu + 1.0)) - math.lgamma(0.5 * nu)
             - 0.5 * math.log(nu * math.pi) + 0.5 * (nu + 1.0) * log_w)
 
@@ -499,16 +580,50 @@ def _t_log_tail(x: float, nu: float) -> float:
     return math.log(0.5) + math.log1p(-tail) if tail < 1.0 else -math.inf
 
 
+def _t_log_tail_array(x, nu: float):
+    """`_t_log_tail` on a 1-d array of nonzero x, each element on the
+    fraction the scalar code picks for it."""
+    a, b = 0.5 * nu, 0.5
+    log_w, log_1mw = _t_log_w_array(x, nu)
+    log_front = (math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+                 + a * log_w + b * log_1mw)
+    w = _each(math.exp, log_w)
+    out = np.full_like(w, -math.inf)
+    direct = w < (a + 1.0) / (a + b + 2.0)
+    if direct.any():
+        cf = _betacf_array(a, b, w[direct])
+        out[direct] = (math.log(0.5) + log_front[direct]
+                       + _each(math.log, cf / a))
+    rest = ~direct
+    if rest.any():
+        cf = _betacf_array(b, a, _each(math.exp, log_1mw[rest]))
+        tail = _each(math.exp, log_front[rest]) * cf / b
+        below = tail < 1.0
+        out[np.flatnonzero(rest)[below]] = (
+            math.log(0.5) + _each(math.log1p, -tail[below]))
+    return out
+
+
 def t_cdf(x, nu: float):
     """Student-t cdf via the regularized incomplete beta function."""
     if not isinstance(x, (float, int)):
-        return _lift(t_cdf, x, nu)
+        return _dispatch(x, lambda a: _t_cdf_array(a, _check_nu(nu)))
     nu = _check_nu(nu)
     x = float(x)
     if x == 0.0:
         return 0.5
     tail = math.exp(_t_log_tail(x, nu))
     return tail if x < 0.0 else 1.0 - tail
+
+
+def _t_cdf_array(x, nu: float):
+    out = np.full_like(x, 0.5)
+    nonzero = x != 0.0
+    if nonzero.any():
+        xn = x[nonzero]
+        tail = _each(math.exp, _t_log_tail_array(xn, nu))
+        out[nonzero] = np.where(xn < 0.0, tail, 1.0 - tail)
+    return out
 
 
 def t_sf(x, nu: float):
@@ -518,19 +633,30 @@ def t_sf(x, nu: float):
     nu (2e-11 at nu = 1e5).
     """
     if not isinstance(x, (float, int)):
-        return _lift(t_sf, x, nu)
+        return _dispatch(x, lambda a: _t_cdf_array(-a, _check_nu(nu)))
     return t_cdf(-x, nu)
 
 
 def t_logsf(x, nu: float):
     """log of the Student-t upper tail, stable far into the tail."""
     if not isinstance(x, (float, int)):
-        return _lift(t_logsf, x, nu)
+        return _dispatch(x, lambda a: _t_logsf_array(a, _check_nu(nu)))
     nu = _check_nu(nu)
     x = float(x)
     if x <= 0.0:
         return math.log(t_cdf(-x, nu))
     return _t_log_tail(x, nu)
+
+
+def _t_logsf_array(x, nu: float):
+    out = np.empty_like(x)
+    nonpositive = x <= 0.0
+    if nonpositive.any():
+        out[nonpositive] = _each(math.log, _t_cdf_array(-x[nonpositive], nu))
+    rest = ~nonpositive
+    if rest.any():
+        out[rest] = _t_log_tail_array(x[rest], nu)
+    return out
 
 
 def t_isf(q, nu: float):

@@ -1,11 +1,12 @@
+import dataclasses
 import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from lsufdr import models, montecarlo
-from lsufdr.asymptotics import conditional_limits, eer_fdr_normal
+from lsufdr import models, montecarlo, specfun
+from lsufdr.asymptotics import conditional_limits, eer_fdr_normal, t_of_z
 from lsufdr.models import (
     ExtremeConfig,
     ModelSpec,
@@ -315,6 +316,19 @@ class TestTailOnlyEngine:
         assert tail.pvalues.size == cfg.n1
         assert lsd(tail, 0.05).m == lsu(tail, 0.05).m == cfg.n1
 
+    def test_far_shifted_alternatives_all_rejected(self):
+        # z - false_theta lies below -709, where e^-(z - false_theta)
+        # overflows a double: the threshold is 0, every uniform is kept
+        # and every false null rejected
+        model = ModelSpec.exponential(800.0)
+        assert _null_cdf(model, 0.1, -800.0) == 1.0
+        assert np.all(_null_cdf(model, 0.1, np.array([-800.0, -710.0])) == 1.0)
+        plan = SimulationPlan(model=model,
+                              config=ExtremeConfig(n=20, zeta=0.5, seed=8),
+                              alpha=0.1, replicates=200)
+        s = run(plan, keep_replicates=True, workers=1)
+        assert np.all(s.r_counts - s.v_counts == plan.config.n1)
+
     def test_guard_keeps_every_uniform(self, monkeypatch):
         # a negative margin drops uniforms whose p-values are <= alpha;
         # the largest dropped one gives that away
@@ -540,6 +554,41 @@ class TestPinnedCounts:
         s = run(plan, keep_replicates=True, workers=1)
         counts = np.stack((s.v_counts, s.r_counts)).astype("<i8")
         assert hashlib.sha256(counts.tobytes()).hexdigest() == digest
+
+
+class TestStudentTKernelsEndToEnd:
+    """The t family's sampler and `t_of_z` give the same results with the
+    array t functions mapped over their scalar calls instead."""
+
+    @staticmethod
+    def twice(monkeypatch, compute):
+        with_kernels = compute()
+        for name in ("t_sf", "t_cdf", "t_logsf", "t_pdf", "t_logpdf"):
+            fn = getattr(specfun, name)
+            monkeypatch.setattr(
+                specfun, name,
+                lambda x, nu, fn=fn: fn(x, nu) if isinstance(x, float)
+                else specfun._lift(fn, x, nu))
+        return with_kernels, compute()
+
+    def test_sampler(self, monkeypatch):
+        plan = SimulationPlan(model=ModelSpec.student_t(4.0),
+                              config=ExtremeConfig(n=150, zeta=0.8, seed=9),
+                              alpha=0.25, replicates=600)
+        kernel, mapped = self.twice(
+            monkeypatch, lambda: run(plan, keep_replicates=True, workers=1))
+        assert kernel.r_counts.sum() > 0
+        for field in dataclasses.fields(SimulationSummary):
+            np.testing.assert_equal(getattr(kernel, field.name),
+                                    getattr(mapped, field.name))
+
+    def test_t_of_z(self, monkeypatch):
+        z = np.random.default_rng(10).chisquare(5.0, 2000) ** 0.5 / 5.0 ** 0.5
+        kernel, mapped = self.twice(
+            monkeypatch,
+            lambda: t_of_z(ModelSpec.student_t(5.0), 0.05, 0.5, z))
+        assert np.all(kernel > 0.0)
+        np.testing.assert_array_equal(kernel, mapped)
 
 
 class TestSubstreamKeys:

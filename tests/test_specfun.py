@@ -218,12 +218,10 @@ class TestStudentTMpmathOracle:
                              np.logspace(0.0, 300.0, 31),
                              [1.3e308, sys.float_info.max]])
         for nu in self.NUS:
-            for x in xs:
-                ref = self.mp_sf(mp, float(x), nu)
-                if ref < mp.mpf("1e-300"):
-                    continue
-                got = sf.t_sf(float(x), nu)
-                assert abs(got / float(ref) - 1.0) < self.SF_RTOL, (nu, x)
+            # scalar calls and the array kernel
+            worst = worst_rel_error(sf.t_sf, xs,
+                                    lambda x: self.mp_sf(mp, x, nu), nu)
+            assert worst < self.SF_RTOL, nu
 
     def test_isf(self, mp):
         # x*x overflows past 1.3e154, which q below about 1e-78 needs at
@@ -239,6 +237,82 @@ class TestStudentTMpmathOracle:
                 else:
                     tail = float(self.mp_sf(mp, x, nu))
                     assert abs(tail / q - 1.0) < self.ISF_RTOL, (nu, q, x)
+
+
+class TestStudentTKernels:
+    """The array t functions run numpy kernels, which must give the bits
+    of the scalar calls: numpy's + - * / round as Python's do, and the
+    transcendentals stay the standard library's."""
+
+    NUS = (0.5, 0.7, 2.5, 5.0, 30.0, 1e3, 1e5)
+    NAMES = ("t_sf", "t_cdf", "t_logsf", "t_pdf", "t_logpdf")
+    # at nu = 30, (sqrt(nu)/x)**2 is one ulp above the square
+    POW = 8.272720954675616
+    EDGES = (0.0, -0.0, math.inf, -math.inf, 1e-300, -1e-300, 1.3e308,
+             -1.3e308, sys.float_info.max, -sys.float_info.max)
+
+    @classmethod
+    def grid(cls, nu):
+        rng = np.random.default_rng(int(nu * 10))
+        root = math.sqrt(nu)
+        sign = rng.choice([-1.0, 1.0], 800)
+        return np.concatenate([
+            rng.uniform(-3.0 * root, 3.0 * root, 800),  # both _t_log_w sides
+            sign * root * np.exp(rng.uniform(-40.0, 40.0, 800)),
+            [root, -root, math.nextafter(root, 0.0),
+             math.nextafter(root, math.inf), cls.POW, -cls.POW],
+            cls.EDGES])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("nu", NUS)
+    @pytest.mark.parametrize("name", NAMES)
+    def test_bits_equal_scalar_calls(self, name, nu):
+        f = getattr(sf, name)
+        xs = self.grid(nu)
+        ref = np.array([f(x, nu) for x in xs.tolist()])
+        got = f(xs, nu)
+        np.testing.assert_array_equal(got, ref)
+        np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
+
+    @pytest.mark.parametrize("nu", NUS)
+    def test_grid_runs_both_fractions(self, nu):
+        # the direct fraction at w = nu/(nu + x^2) below (a + 1)/(a + b + 2),
+        # the complement above it; at nu = 30 POW takes the pow branch
+        xs = np.abs(self.grid(nu))
+        xs = xs[(xs > 0.0) & (xs < 1e150)]
+        a, b = 0.5 * nu, 0.5
+        direct = nu / (nu + xs * xs) < (a + 1.0) / (a + b + 2.0)
+        assert direct.any() and not direct.all()
+        assert (xs > math.sqrt(nu)).any() and (xs < math.sqrt(nu)).any()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_lockstep_fraction(self):
+        # at x = (a + 1)/(a + b) the first denominator is 0 and clamped
+        rng = np.random.default_rng(12)
+        for a, b in ((1.0, 1.0), (0.5, 2.5), (3.0, 2.0), (40.0, 0.5)):
+            xs = np.append(rng.uniform(0.0, 0.7, 300), (a + 1.0) / (a + b))
+            xs = xs[xs <= 1.0]
+            np.testing.assert_array_equal(
+                sf._betacf_array(a, b, xs),
+                [sf._betacf(a, b, x) for x in xs.tolist()])
+
+    def test_nan(self):
+        x = np.array([1.0, math.nan])
+        for name in ("t_pdf", "t_logpdf"):
+            f = getattr(sf, name)
+            assert math.isnan(f(math.nan, 5.0))
+            assert f(x, 5.0)[0] == f(1.0, 5.0) and math.isnan(f(x, 5.0)[1])
+        # the continued fraction runs out of steps on nan
+        for name in ("t_sf", "t_cdf", "t_logsf"):
+            f = getattr(sf, name)
+            for arg in (math.nan, x):
+                with pytest.raises(RuntimeError, match="failed to converge"):
+                    f(arg, 5.0)
+
+    def test_bad_nu_on_arrays(self):
+        for name in self.NAMES:
+            with pytest.raises(ValueError):
+                getattr(sf, name)(np.array([1.0]), 0.0)
 
 
 class TestChi:
