@@ -15,24 +15,25 @@ long sweeps goes to stderr; stdout stays machine-readable.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 
 from .asymptotics import eer_fdr_normal, eer_fdr_t, limit_constants
 from .crossing import crossing_report
 from .models import EXPONENTIAL, NORMAL, STUDENT_T, ExtremeConfig, \
     ModelSpec, _check_zeta
-from .montecarlo import SimulationPlan, run
+from .montecarlo import SimulationPlan, _pool_map, run, worker_count
 from .stepup import _check_alpha
 
-__all__ = ["main", "SweepRequest"]
+__all__ = ["main"]
 
 _CURVE_COLUMNS = ("model", "alpha", "zeta", "rho_or_nu", "eer_inf",
                   "fdr_inf", "t1", "t2", "quad_err", "status")
+
+_CROSSING_KEYS = ("t1", "t2", "has_tangent", "lcp_intervals",
+                  "z_at_tangent", "t_lower", "t_upper")
 
 _MODEL_CHOICES = {"normal": NORMAL, "t": STUDENT_T,
                   "student_t": STUDENT_T, "exponential": EXPONENTIAL}
@@ -49,32 +50,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-@dataclass(frozen=True)
-class SweepRequest:
-    """A curve sweep: model family, alpha, zeta list, dependence grid."""
-
-    family: str
-    alpha: float
-    zetas: tuple[float, ...]
-    grid: tuple[float, ...]
-    out: str
-    fmt: str = "csv"
-
-    def __post_init__(self):
-        if self.family not in (NORMAL, STUDENT_T):
-            raise ValueError("curve sweeps cover normal and student_t")
-        _check_alpha(self.alpha)
-        for z in self.zetas:
-            _check_zeta(z)
-        for g in self.grid:
-            if self.family == NORMAL and not 0.0 < g < 1.0:
-                raise ValueError("rho grid values must lie in (0, 1)")
-            if self.family == STUDENT_T and not g > 0.0:
-                raise ValueError("nu grid values must be positive")
-        if self.fmt not in ("csv", "json"):
-            raise ValueError("format must be csv or json")
-
-
 def _parse_grid(text: str) -> tuple[float, ...]:
     parts = text.split(":")
     if len(parts) != 3:
@@ -83,10 +58,8 @@ def _parse_grid(text: str) -> tuple[float, ...]:
     count = int(parts[2])
     if count < 0:
         raise _UsageError("grid count must be nonnegative")
-    if count == 0:
-        return ()
-    if count == 1:
-        return (start,)
+    if count <= 1:
+        return (start,) * count
     step = (stop - start) / (count - 1)
     return tuple(start + i * step for i in range(count))
 
@@ -115,10 +88,10 @@ def _curve_row(task):
                 res.quadrature_error, "ok")
     except Exception as exc:  # keep sweeping, record the failure
         return (family, alpha, zeta, g, "", "", "", "", "",
-                f"error: {exc}")
+                f"error: {type(exc).__name__}: {exc}")
 
 
-def cmd_curve(request: SweepRequest) -> int:
+def cmd_curve(args) -> int:
     """Write one row per (zeta, grid point); failures become status.
 
     Grid points run on the worker pool when there are several workers
@@ -126,32 +99,50 @@ def cmd_curve(request: SweepRequest) -> int:
     (zeta outer, grid inner) order regardless of how the pool schedules
     them.
     """
-    from .montecarlo import worker_count
-
-    tasks = [(request.family, request.alpha, zeta, g)
-             for zeta in request.zetas for g in request.grid]
+    if args.out is None:
+        raise _UsageError("curve requires --out")
+    family = _MODEL_CHOICES[args.model]
+    if family not in (NORMAL, STUDENT_T):
+        raise _UsageError("curve covers normal and student_t")
+    name, flag, spec = (("normal", "--rho-grid", args.rho_grid)
+                        if family == NORMAL
+                        else ("t", "--nu-grid", args.nu_grid))
+    if spec is None:
+        raise _UsageError(f"curve with the {name} model needs {flag}")
+    grid = _parse_grid(spec)
+    _check_alpha(args.alpha)
+    zetas = [_check_zeta(z) for z in args.zeta or [0.5]]
+    if family == NORMAL and not all(0.0 < g < 1.0 for g in grid):
+        raise ValueError("rho grid values must lie in (0, 1)")
+    if family == STUDENT_T and not all(g > 0.0 for g in grid):
+        raise ValueError("nu grid values must be positive")
+    tasks = [(family, args.alpha, zeta, g) for zeta in zetas for g in grid]
+    workers = worker_count()  # LSUFDR_WORKERS is checked on any sweep
     rows = []
-    with contextlib.ExitStack() as stack:
-        mapper = map
-        nworkers = worker_count()
-        if nworkers > 1 and len(tasks) >= 4:
-            from concurrent.futures import ProcessPoolExecutor
-
-            mapper = stack.enter_context(
-                ProcessPoolExecutor(max_workers=nworkers)).map
-        for i, row in enumerate(mapper(_curve_row, tasks), start=1):
-            print(f"curve {i}/{len(tasks)}: zeta={row[2]} grid={row[3]}",
-                  file=sys.stderr)
-            rows.append(row)
+    for i, row in enumerate(_pool_map(
+            _curve_row, tasks, workers=workers if len(tasks) >= 4 else 1),
+            start=1):
+        print(f"curve {i}/{len(tasks)}: zeta={row[2]} grid={row[3]}",
+              file=sys.stderr)
+        rows.append(row)
     failures = sum(1 for row in rows if row[-1] != "ok")
-    if request.fmt == "csv":
+    if args.format == "csv":
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows((_CURVE_COLUMNS, *rows))
         text = buf.getvalue()
     else:
         text = _json_text([dict(zip(_CURVE_COLUMNS, row)) for row in rows])
-    _write(text, request.out)
+    _write(text, args.out)
     return 2 if failures else 0
+
+
+def _one_zeta(args) -> float:
+    """The --zeta of simulate and crossing, 0.5 when not given."""
+    if args.zeta is None:
+        return 0.5
+    if len(args.zeta) > 1:
+        raise _UsageError("--zeta may be repeated only for curve")
+    return args.zeta[0]
 
 
 def _build_model(args) -> ModelSpec:
@@ -168,36 +159,28 @@ def _build_model(args) -> ModelSpec:
 
 
 def cmd_simulate(args) -> int:
+    zeta = _one_zeta(args)
     if args.n is None or args.n < 1:
         raise _UsageError("--n must be a positive integer")
     model = _build_model(args)
-    config = ExtremeConfig(n=args.n, zeta=args.zeta[0], seed=args.seed)
+    config = ExtremeConfig(n=args.n, zeta=zeta, seed=args.seed)
     plan = SimulationPlan(model=model, config=config, alpha=args.alpha,
                           replicates=args.reps,
                           conditional_z=args.conditional_z,
                           procedure=args.procedure)
     summary = run(plan)
     payload = summary.as_dict()
-    payload["model"] = args.model
-    payload["alpha"] = args.alpha
-    payload["zeta"] = args.zeta[0]
-    payload["n"] = args.n
+    payload.update(model=args.model, alpha=args.alpha, zeta=zeta, n=args.n)
     _write(_json_text(payload), args.out)
     return 0
 
 
 def cmd_crossing(args) -> int:
+    zeta = _one_zeta(args)
     model = _build_model(args)
-    report = crossing_report(model, args.alpha, args.zeta[0])
-    payload = {
-        "t1": report.t1,
-        "t2": report.t2,
-        "has_tangent": report.has_tangent,
-        "lcp_intervals": [list(iv) for iv in report.lcp_intervals],
-        "z_at_tangent": report.z_at_tangent,
-        "t_lower": report.t_lower,
-        "t_upper": report.t_upper,
-    }
+    report = crossing_report(model, args.alpha, zeta)
+    # json writes the tuples of lcp_intervals as lists
+    payload = {k: getattr(report, k) for k in _CROSSING_KEYS}
     _write(_json_text(payload), args.out)
     return 0
 
@@ -233,6 +216,7 @@ def _make_parser() -> _Parser:
     pc.add_argument("--rho-grid", default=None, help="start:stop:count")
     pc.add_argument("--nu-grid", default=None, help="start:stop:count")
     pc.add_argument("--format", choices=("csv", "json"), default="csv")
+    pc.set_defaults(run=cmd_curve)
 
     ps = sub.add_parser("simulate", help="Monte Carlo run")
     _add_common(ps)
@@ -241,12 +225,15 @@ def _make_parser() -> _Parser:
     ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--conditional-z", type=float, default=None)
     ps.add_argument("--procedure", choices=("lsu", "lsd"), default="lsu")
+    ps.set_defaults(run=cmd_simulate)
 
     px = sub.add_parser("crossing", help="crossing/tangency report")
     _add_common(px)
+    px.set_defaults(run=cmd_crossing)
 
     pl = sub.add_parser("limits", help="closed-form limits for one alpha")
     pl.add_argument("--alpha", type=float, required=True)
+    pl.set_defaults(run=cmd_limits)
     return parser
 
 
@@ -254,37 +241,7 @@ def main(argv=None) -> int:
     parser = _make_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "limits":
-            return cmd_limits(args)
-        if getattr(args, "zeta", None) is None:
-            args.zeta = [0.5]
-        if args.command == "curve":
-            if args.out is None:
-                raise _UsageError("curve requires --out")
-            family = _MODEL_CHOICES[args.model]
-            if family == NORMAL:
-                if args.rho_grid is None:
-                    raise _UsageError("curve with the normal model needs "
-                                      "--rho-grid")
-                grid = _parse_grid(args.rho_grid)
-            elif family == STUDENT_T:
-                if args.nu_grid is None:
-                    raise _UsageError("curve with the t model needs "
-                                      "--nu-grid")
-                grid = _parse_grid(args.nu_grid)
-            else:
-                raise _UsageError("curve covers normal and student_t")
-            request = SweepRequest(family=family, alpha=args.alpha,
-                                   zetas=tuple(args.zeta), grid=grid,
-                                   out=args.out, fmt=args.format)
-            return cmd_curve(request)
-        if len(args.zeta) > 1:
-            raise _UsageError("--zeta may be repeated only for curve")
-        if args.command == "simulate":
-            return cmd_simulate(args)
-        if args.command == "crossing":
-            return cmd_crossing(args)
-        raise _UsageError(f"unknown command {args.command!r}")
+        return args.run(args)
     except (_UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -126,6 +126,19 @@ def worker_count() -> int:
     return max(1, os.cpu_count() or 1)
 
 
+def _pool_map(fn, *iterables, workers=None):
+    """fn over the iterables in order, as map does; on a process pool of
+    worker_count() (or workers) processes when there are several
+    workers and at least two calls."""
+    args = [list(it) for it in iterables]
+    nworkers = worker_count() if workers is None else max(1, int(workers))
+    if nworkers > 1 and min(map(len, args)) > 1:
+        with ProcessPoolExecutor(max_workers=nworkers) as pool:
+            yield from pool.map(fn, *args)
+    else:
+        yield from map(fn, *args)
+
+
 def _simulate_chunk(plan: SimulationPlan, start: int, stop: int,
                     keep: bool):
     model, config, alpha = plan.model, plan.config, plan.alpha
@@ -184,21 +197,10 @@ def run(plan: SimulationPlan, keep_replicates: bool = False,
     count produces bit-identical output.
     """
     reps = plan.replicates
-    chunks = [(s, min(s + _CHUNK, reps)) for s in range(0, reps, _CHUNK)]
-    nworkers = worker_count() if workers is None else max(1, int(workers))
-    if nworkers > 1 and len(chunks) > 1:
-        with ProcessPoolExecutor(max_workers=nworkers) as pool:
-            parts = list(pool.map(
-                _simulate_chunk,
-                [plan] * len(chunks),
-                [c[0] for c in chunks],
-                [c[1] for c in chunks],
-                [keep_replicates] * len(chunks),
-                chunksize=1,
-            ))
-    else:
-        parts = [_simulate_chunk(plan, s, e, keep_replicates)
-                 for s, e in chunks]
+    starts = range(0, reps, _CHUNK)
+    parts = list(_pool_map(_simulate_chunk, [plan] * len(starts), starts,
+                           [min(s + _CHUNK, reps) for s in starts],
+                           [keep_replicates] * len(starts), workers=workers))
 
     sums = np.zeros(8)
     hist = np.zeros(_HIST_BINS, dtype=np.int64)

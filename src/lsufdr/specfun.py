@@ -513,11 +513,15 @@ def _t_log_w(x: float, nu: float):
     Formed from y = |x|/sqrt(nu) without squaring x, which overflows
     past about 1.3e154; for y > 1 only log y and 1/y are formed, since
     y itself overflows near the top of the double range when nu < 1.
+    Where y underflows to 0 (a subnormal |x| at large nu), log y is
+    formed as log|x| - log(nu)/2.
     """
     if abs(x) <= math.sqrt(nu):
         y = abs(x) / math.sqrt(nu)
         log_w = -math.log1p(y * y)
-        return log_w, log_w + 2.0 * math.log(y)
+        log_y = (math.log(y) if y > 0.0
+                 else math.log(abs(x)) - 0.5 * math.log(nu))
+        return log_w, log_w + 2.0 * log_y
     log_y = math.log(abs(x)) - 0.5 * math.log(nu)
     log_1mw = -math.log1p((math.sqrt(nu) / abs(x)) ** 2)
     return log_1mw - 2.0 * log_y, log_1mw
@@ -531,8 +535,13 @@ def _t_log_w_array(x, nu: float):
     near = ax <= math.sqrt(nu)
     if near.any():
         y = ax[near] / math.sqrt(nu)
+        under = y == 0.0
+        log_y = _each(math.log, np.where(under, 1.0, y))
+        if under.any():
+            log_y[under] = (_each(math.log, ax[near][under])
+                            - 0.5 * math.log(nu))
         lw = -_each(math.log1p, y * y)
-        log_w[near], log_1mw[near] = lw, lw + 2.0 * _each(math.log, y)
+        log_w[near], log_1mw[near] = lw, lw + 2.0 * log_y
     far = ~near
     if far.any():
         af = ax[far]
@@ -610,15 +619,15 @@ def t_cdf(x, nu: float):
         return _dispatch(x, lambda a: _t_cdf_array(a, _check_nu(nu)))
     nu = _check_nu(nu)
     x = float(x)
-    if x == 0.0:
-        return 0.5
+    if x == 0.0 or math.isnan(x):
+        return 0.5 if x == 0.0 else x
     tail = math.exp(_t_log_tail(x, nu))
     return tail if x < 0.0 else 1.0 - tail
 
 
 def _t_cdf_array(x, nu: float):
-    out = np.full_like(x, 0.5)
-    nonzero = x != 0.0
+    out = np.where(np.isnan(x), x, 0.5)
+    nonzero = np.abs(x) > 0.0  # neither 0 nor nan
     if nonzero.any():
         xn = x[nonzero]
         tail = _each(math.exp, _t_log_tail_array(xn, nu))
@@ -643,14 +652,14 @@ def t_logsf(x, nu: float):
         return _dispatch(x, lambda a: _t_logsf_array(a, _check_nu(nu)))
     nu = _check_nu(nu)
     x = float(x)
-    if x <= 0.0:
+    if not x > 0.0:  # nan too, which t_cdf returns
         return math.log(t_cdf(-x, nu))
     return _t_log_tail(x, nu)
 
 
 def _t_logsf_array(x, nu: float):
     out = np.empty_like(x)
-    nonpositive = x <= 0.0
+    nonpositive = ~(x > 0.0)  # nan too, which _t_cdf_array returns
     if nonpositive.any():
         out[nonpositive] = _each(math.log, _t_cdf_array(-x[nonpositive], nu))
     rest = ~nonpositive

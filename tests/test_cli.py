@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from lsufdr import cli
 from lsufdr.cli import main
+from lsufdr.crossing import SolverError
 
 CURVE_HEADER = ("model,alpha,zeta,rho_or_nu,eer_inf,fdr_inf,t1,t2,"
                 "quad_err,status")
@@ -112,7 +114,33 @@ class TestCurve:
         lines = read(out).splitlines()
         assert len(lines) == 3
         assert "error" in lines[1]
+        assert lines[1].split(",")[-1].startswith("error: ValueError: ")
         assert lines[2].split(",")[-1] == "ok"
+
+    @pytest.mark.parametrize("model, flag, grid", [
+        ("normal", "--rho-grid", "0:0.5:2"),
+        ("t", "--nu-grid", "-1:5:2"),
+    ])
+    def test_grid_value_out_of_range(self, tmp_path, capsys, model, flag,
+                                     grid):
+        out = tmp_path / "range.csv"
+        # "--nu-grid -1:5:2" would read -1:5:2 as an option
+        assert main(["curve", "--model", model, f"{flag}={grid}",
+                     "--out", str(out)]) == 1
+        assert "grid values" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_pooled_sweep_bytes(self, tmp_path, capsys, monkeypatch):
+        # four points run on two workers and write the serial bytes
+        outs = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("LSUFDR_WORKERS", workers)
+            outs.append(tmp_path / f"w{workers}.csv")
+            assert main(["curve", "--model", "normal", "--zeta", "0.9",
+                         "--zeta", "0.5", "--rho-grid", "0.3:0.6:2",
+                         "--out", str(outs[-1])]) == 0
+        assert read(outs[0]) == read(outs[1])
+        assert len(read(outs[0]).splitlines()) == 5
 
 
 class TestSimulate:
@@ -203,6 +231,14 @@ class TestCrossing:
 
 
 class TestUsage:
+    def test_numeric_failure_exit_code(self, capsys, monkeypatch):
+        def fail(*args):
+            raise SolverError("no bracket")
+
+        monkeypatch.setattr(cli, "crossing_report", fail)
+        assert main(["crossing", "--model", "normal", "--rho", "0.5"]) == 2
+        assert "numeric failure: no bracket" in capsys.readouterr().err
+
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 1
 

@@ -301,17 +301,27 @@ class TestStudentTKernels:
                 [sf._betacf(a, b, x) for x in xs.tolist()])
 
     def test_nan(self):
+        # nan comes back at once, and the array's other element is kept
         x = np.array([1.0, math.nan])
-        for name in ("t_pdf", "t_logpdf"):
+        for name in self.NAMES:
             f = getattr(sf, name)
             assert math.isnan(f(math.nan, 5.0))
-            assert f(x, 5.0)[0] == f(1.0, 5.0) and math.isnan(f(x, 5.0)[1])
-        # the continued fraction runs out of steps on nan
-        for name in ("t_sf", "t_cdf", "t_logsf"):
+            got = f(x, 5.0)
+            assert got[0] == f(1.0, 5.0) and math.isnan(got[1])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("nu", (30.0, 1e5))
+    def test_subnormal_x(self, nu):
+        # y = |x|/sqrt(nu) underflows to 0 at the smallest subnormals
+        assert sf.t_sf(5e-324, nu) == 0.5
+        assert sf.t_logsf(5e-324, nu) == math.log(0.5)
+        xs = np.array([5e-324, -5e-324, 1e-323, -1.5e-323, 1e-310, 1.0])
+        for name in self.NAMES:
             f = getattr(sf, name)
-            for arg in (math.nan, x):
-                with pytest.raises(RuntimeError, match="failed to converge"):
-                    f(arg, 5.0)
+            ref = np.array([f(x, nu) for x in xs.tolist()])
+            got = f(xs, nu)
+            np.testing.assert_array_equal(got.view(np.int64),
+                                          ref.view(np.int64))
 
 
 class TestChi:
