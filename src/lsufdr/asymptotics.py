@@ -18,8 +18,8 @@ import numpy as np
 from . import specfun as sf
 from .crossing import SolverError, crossing_report
 from .models import EXPONENTIAL, NORMAL, ModelSpec, _check_alpha_zeta, \
-    _check_z, crossing_at, disturbance_cdf, gamma_at_zero, null_pdf, \
-    null_sf, z_of_t
+    _check_z, crossing_at, crossing_window, disturbance_cdf, gamma_at_zero, \
+    null_pdf, null_sf, z_of_t
 from .quadrature import integrate
 from .stepup import _check_alpha
 
@@ -274,9 +274,13 @@ def conditional_limits(model: ModelSpec, alpha: float, zeta: float,
 
 def g_distributions(model: ModelSpec, alpha: float, zeta: float,
                     u: float, which: int) -> float:
-    """Cdf of the limiting V/n (which=1) or FDP (which=2) at u."""
-    alpha = float(alpha)
-    zeta = float(zeta)
+    """Cdf of the limiting V/n (which=1) or FDP (which=2) at u.
+
+    Both are P(t(Z) <= t) for the t that u maps to: 0 at or below
+    t_lower, which t(Z) exceeds, and 1 at or above the top of t(Z)'s
+    range, t_upper or, for the exponential family, t(0).
+    """
+    alpha, zeta = _check_alpha_zeta(alpha, zeta)
     u = float(u)
     if which not in (1, 2):
         raise ValueError("which must be 1 or 2")
@@ -288,6 +292,18 @@ def g_distributions(model: ModelSpec, alpha: float, zeta: float,
         if zeta == 1.0:
             raise ValueError("the FDP distribution needs zeta < 1")
         t = alpha * (1.0 - zeta) / (1.0 - u)
+    t_lower, t_top = crossing_window(model, alpha, zeta)
+    if model.family == EXPONENTIAL and 2.0 * alpha * zeta < 1.0:
+        t_top = alpha * (1.0 - zeta) / (1.0 - 2.0 * alpha * zeta)
+    if t >= t_top:
+        return 1.0
+    if t <= t_lower:
+        return 0.0
+    if model.family != EXPONENTIAL:
+        rep = crossing_report(model, alpha, zeta)
+        if rep.has_tangent and rep.t1 < t < rep.t2:
+            # no largest crossing lies in the gap: t(Z) <= t iff Z >= z*
+            return 1.0 - disturbance_cdf(model, rep.z_at_tangent)
     return 1.0 - disturbance_cdf(model, z_of_t(model, t, alpha, zeta))
 
 

@@ -35,8 +35,8 @@ _CURVE_COLUMNS = ("model", "alpha", "zeta", "rho_or_nu", "eer_inf",
 _CROSSING_KEYS = ("t1", "t2", "has_tangent", "lcp_intervals",
                   "z_at_tangent", "t_lower", "t_upper")
 
-_MODEL_CHOICES = {"normal": NORMAL, "t": STUDENT_T,
-                  "student_t": STUDENT_T, "exponential": EXPONENTIAL}
+_CURVE_MODELS = {"normal": NORMAL, "t": STUDENT_T, "student_t": STUDENT_T}
+_MODEL_CHOICES = {**_CURVE_MODELS, "exponential": EXPONENTIAL}
 
 
 class _UsageError(Exception):
@@ -44,6 +44,10 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        # "--rho" must not pass for an abbreviation of "--rho-grid"
+        super().__init__(allow_abbrev=False, **kwargs)
+
     # argparse exits with 2 on usage problems; the interface contract
     # reserves 2 for numeric failures and 1 for usage
     def error(self, message):
@@ -99,23 +103,19 @@ def cmd_curve(args) -> int:
     (zeta outer, grid inner) order regardless of how the pool schedules
     them.
     """
-    if args.out is None:
-        raise _UsageError("curve requires --out")
-    family = _MODEL_CHOICES[args.model]
-    if family not in (NORMAL, STUDENT_T):
-        raise _UsageError("curve covers normal and student_t")
-    name, flag, spec = (("normal", "--rho-grid", args.rho_grid)
-                        if family == NORMAL
-                        else ("t", "--nu-grid", args.nu_grid))
-    if spec is None:
-        raise _UsageError(f"curve with the {name} model needs {flag}")
+    family = _CURVE_MODELS[args.model]
+    param = "rho" if family == NORMAL else "nu"
+    spec = getattr(args, f"{param}_grid")
+    if spec is None:  # the parser takes exactly one grid flag
+        raise _UsageError(f"the {args.model} model takes --{param}-grid")
     grid = _parse_grid(spec)
     _check_alpha(args.alpha)
     zetas = [_check_zeta(z) for z in args.zeta or [0.5]]
-    if family == NORMAL and not all(0.0 < g < 1.0 for g in grid):
-        raise ValueError("rho grid values must lie in (0, 1)")
-    if family == STUDENT_T and not all(g > 0.0 for g in grid):
-        raise ValueError("nu grid values must be positive")
+    try:
+        for g in grid:
+            ModelSpec(family, **{param: g})
+    except ValueError as exc:
+        raise ValueError(f"{param} grid values: {exc}") from None
     tasks = [(family, args.alpha, zeta, g) for zeta in zetas for g in grid]
     workers = worker_count()  # LSUFDR_WORKERS is checked on any sweep
     rows = []
@@ -136,33 +136,16 @@ def cmd_curve(args) -> int:
     return 2 if failures else 0
 
 
-def _one_zeta(args) -> float:
-    """The --zeta of simulate and crossing, 0.5 when not given."""
-    if args.zeta is None:
-        return 0.5
-    if len(args.zeta) > 1:
+def _model_zeta(args) -> tuple[ModelSpec, float]:
+    """The model and --zeta (0.5 when not given) of simulate and crossing."""
+    if args.zeta is not None and len(args.zeta) > 1:
         raise _UsageError("--zeta may be repeated only for curve")
-    return args.zeta[0]
-
-
-def _build_model(args) -> ModelSpec:
-    family = _MODEL_CHOICES[args.model]
-    if family == NORMAL:
-        if args.rho is None:
-            raise _UsageError("--rho is required for the normal model")
-        return ModelSpec.normal(args.rho)
-    if family == STUDENT_T:
-        if args.nu is None:
-            raise _UsageError("--nu is required for the t model")
-        return ModelSpec.student_t(args.nu)
-    return ModelSpec.exponential()
+    model = ModelSpec(_MODEL_CHOICES[args.model], rho=args.rho, nu=args.nu)
+    return model, (args.zeta or [0.5])[0]
 
 
 def cmd_simulate(args) -> int:
-    zeta = _one_zeta(args)
-    if args.n is None or args.n < 1:
-        raise _UsageError("--n must be a positive integer")
-    model = _build_model(args)
+    model, zeta = _model_zeta(args)
     config = ExtremeConfig(n=args.n, zeta=zeta, seed=args.seed)
     plan = SimulationPlan(model=model, config=config, alpha=args.alpha,
                           replicates=args.reps,
@@ -176,8 +159,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_crossing(args) -> int:
-    zeta = _one_zeta(args)
-    model = _build_model(args)
+    model, zeta = _model_zeta(args)
     report = crossing_report(model, args.alpha, zeta)
     # json writes the tuples of lcp_intervals as lists
     payload = {k: getattr(report, k) for k in _CROSSING_KEYS}
@@ -196,14 +178,11 @@ def cmd_limits(args) -> int:
     return code
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--model", choices=sorted(_MODEL_CHOICES), default="normal")
+def _add_common(p: argparse.ArgumentParser, models: dict):
+    p.add_argument("--model", choices=sorted(models), default="normal")
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--zeta", type=float, action="append", default=None,
                    help="repeatable for curve; defaults to 0.5")
-    p.add_argument("--rho", type=float, default=None)
-    p.add_argument("--nu", type=float, default=None)
-    p.add_argument("--out", default=None)
 
 
 def _make_parser() -> _Parser:
@@ -212,23 +191,28 @@ def _make_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     pc = sub.add_parser("curve", help="sweep limiting EER/FDR over a grid")
-    _add_common(pc)
-    pc.add_argument("--rho-grid", default=None, help="start:stop:count")
-    pc.add_argument("--nu-grid", default=None, help="start:stop:count")
+    _add_common(pc, _CURVE_MODELS)
+    grid = pc.add_mutually_exclusive_group(required=True)
+    grid.add_argument("--rho-grid", help="start:stop:count, normal model")
+    grid.add_argument("--nu-grid", help="start:stop:count, t model")
+    pc.add_argument("--out", required=True)
     pc.add_argument("--format", choices=("csv", "json"), default="csv")
     pc.set_defaults(run=cmd_curve)
 
     ps = sub.add_parser("simulate", help="Monte Carlo run")
-    _add_common(ps)
-    ps.add_argument("--n", type=int, default=None)
+    px = sub.add_parser("crossing", help="crossing/tangency report")
+    for p in (ps, px):
+        _add_common(p, _MODEL_CHOICES)
+        p.add_argument("--rho", type=float, help="normal model only")
+        p.add_argument("--nu", type=float, help="t model only")
+        p.add_argument("--out")
+    ps.add_argument("--n", type=int, required=True)
     ps.add_argument("--reps", type=int, default=10000)
     ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--conditional-z", type=float, default=None)
     ps.add_argument("--procedure", choices=("lsu", "lsd"), default="lsu")
     ps.set_defaults(run=cmd_simulate)
 
-    px = sub.add_parser("crossing", help="crossing/tangency report")
-    _add_common(px)
     px.set_defaults(run=cmd_crossing)
 
     pl = sub.add_parser("limits", help="closed-form limits for one alpha")

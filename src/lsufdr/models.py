@@ -105,14 +105,10 @@ class ExtremeConfig:
     seed: int
 
     def __post_init__(self):
-        if int(self.n) < 1:
-            raise ValueError("n must be at least 1")
+        object.__setattr__(self, "n", _check_count(self.n, "n", 1))
         if not 0.0 <= self.zeta <= 1.0:
             raise ValueError("zeta must lie in [0, 1]")
-        if int(self.seed) < 0:
-            raise ValueError("seed must be a nonnegative integer")
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", _check_count(self.seed, "seed", 0))
 
     @property
     def n0(self) -> int:
@@ -126,6 +122,18 @@ class ExtremeConfig:
     @property
     def zeta_n(self) -> float:
         return self.n0 / self.n
+
+
+def _check_count(value, name: str, low: int) -> int:
+    """value as an int, once it is integral (10.0 passes, 10.7 does not)
+    and at least low."""
+    try:
+        count = int(value)
+    except (TypeError, ValueError, OverflowError):
+        count = None
+    if count is None or count != value or count < low:
+        raise ValueError(f"{name} must be an integer of at least {low}")
+    return count
 
 
 def _floats(x):

@@ -40,8 +40,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .models import ExtremeConfig, ModelSpec, draw_disturbance, make_rng, \
-    _assemble, _check_z, _rekey, _sample_block, _substream_keys, \
-    _uniform_count, f_infinity_mixed
+    _assemble, _check_count, _check_z, _rekey, _sample_block, \
+    _substream_keys, _uniform_count, f_infinity_mixed
 from .stepup import _check_alpha, _stepdown_count, _stepup_count
 # lsu and lsd stay bound here: perfbench/tracing.py wraps them
 from .stepup import lsd, lsu  # noqa: F401
@@ -70,8 +70,8 @@ class SimulationPlan:
 
     def __post_init__(self):
         _check_alpha(self.alpha)
-        if self.replicates < 1:
-            raise ValueError("replicates must be at least 1")
+        object.__setattr__(self, "replicates",
+                           _check_count(self.replicates, "replicates", 1))
         if self.procedure not in ("lsu", "lsd"):
             raise ValueError("procedure must be 'lsu' or 'lsd'")
         if self.conditional_z is not None:

@@ -230,6 +230,43 @@ class TestCrossing:
         assert "--zeta" in capsys.readouterr().err
 
 
+class TestOptionsApply:
+    """Every option given is one the command and model use."""
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--model", "t", "--nu", "5", "--rho", "0.3",
+         "--n", "20", "--reps", "10"],
+        ["simulate", "--model", "exponential", "--rho", "0.3", "--nu", "2",
+         "--n", "20", "--reps", "10"],
+        ["simulate", "--model", "normal", "--rho", "0.5", "--reps", "10"],
+        ["crossing", "--model", "normal", "--rho", "0.5", "--nu", "3"],
+        ["crossing", "--model", "t", "--nu", "5", "--rho", "0.5"],
+        # curve takes no --rho/--nu, nor an abbreviation of --rho-grid
+        ["curve", "--model", "normal", "--rho", "0.9", "--nu", "4",
+         "--rho-grid", "0.2:0.3:2"],
+        ["curve", "--model", "normal", "--rho", "0.9",
+         "--rho-grid", "0.2:0.3:2"],
+        ["curve", "--model", "normal", "--rho-g", "0.2:0.3:2"],
+        ["curve", "--model", "normal", "--nu-grid", "2:5:2"],
+        ["curve", "--model", "t", "--rho-grid", "0.2:0.3:2"],
+        ["curve", "--model", "t", "--rho-grid", "0.2:0.3:0"],
+        ["curve", "--model", "normal", "--rho-grid", "0.2:0.3:2",
+         "--nu-grid", "2:5:2"],
+        ["curve", "--model", "exponential", "--rho-grid", "0.2:0.3:2"],
+        ["curve", "--model", "t", "--nu-grid", "inf:inf:1"],
+    ])
+    def test_usage_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("usage error: ")
+        assert not out.exists()
+
+    def test_curve_requires_out(self, capsys):
+        assert main(["curve", "--model", "normal",
+                     "--rho-grid", "0.2:0.3:2"]) == 1
+        assert "--out" in capsys.readouterr().err
+
+
 class TestUsage:
     def test_numeric_failure_exit_code(self, capsys, monkeypatch):
         def fail(*args):

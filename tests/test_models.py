@@ -57,6 +57,15 @@ class TestSpecValidation:
         assert cfg.zeta_n == 0.6
         assert ExtremeConfig(n=3, zeta=0.5, seed=0).n0 == 2
 
+    def test_config_integral_counts(self):
+        cfg = ExtremeConfig(n=10.0, zeta=0.5, seed=np.int64(3))
+        assert (cfg.n, cfg.seed) == (10, 3)
+        assert type(cfg.n) is int and type(cfg.seed) is int
+        for n, seed in ((10.7, 1), (10, 1.5), (math.nan, 1), (10, math.inf),
+                        ("10", 1), (0, 1), (10, -1)):
+            with pytest.raises(ValueError, match="must be an integer"):
+                ExtremeConfig(n, 0.5, seed)
+
 
 class TestFInfinity:
     def test_normal_center(self):

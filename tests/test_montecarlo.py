@@ -46,6 +46,17 @@ class TestPlanValidation:
                            config=ExtremeConfig(n=10, zeta=0.5, seed=0),
                            alpha=0.1, replicates=0)
 
+    def test_integral_replicates(self):
+        config = ExtremeConfig(n=10, zeta=0.5, seed=0)
+        plan = SimulationPlan(model=ModelSpec.exponential(), config=config,
+                              alpha=0.1, replicates=40.0)
+        assert type(plan.replicates) is int
+        assert run(plan).replicates == 40
+        for reps in (2.5, 1000.5, math.nan, "40"):
+            with pytest.raises(ValueError, match="replicates must be an"):
+                SimulationPlan(model=ModelSpec.exponential(), config=config,
+                               alpha=0.1, replicates=reps)
+
     def test_bad_procedure(self):
         with pytest.raises(ValueError):
             SimulationPlan(model=ModelSpec.exponential(),
