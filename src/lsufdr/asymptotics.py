@@ -225,6 +225,17 @@ def _report_roots(model: ModelSpec, alpha: float, zeta: float, rep,
     return t
 
 
+def _check_limit_inputs(model: ModelSpec, alpha: float,
+                        zeta: float) -> tuple[float, float]:
+    """alpha and zeta, checked; the exponential family also needs
+    alpha <= 1/2, where its null cdf is linear up to every crossing."""
+    alpha, zeta = _check_alpha_zeta(alpha, zeta)
+    if model.family == EXPONENTIAL and alpha > 0.5:
+        raise ValueError("the exponential family's closed-form t(z) holds "
+                         "only for alpha <= 1/2")
+    return alpha, zeta
+
+
 def t_of_z(model: ModelSpec, alpha: float, zeta: float, z) -> np.ndarray:
     """Largest crossing point t(z) of the mixed cdf with t/alpha, on arrays.
 
@@ -235,7 +246,7 @@ def t_of_z(model: ModelSpec, alpha: float, zeta: float, z) -> np.ndarray:
     gives t_lower, -inf t_upper, and nan raises ValueError.  Below the
     smallest normal double t has only a small absolute error.
     """
-    alpha, zeta = _check_alpha_zeta(alpha, zeta)
+    alpha, zeta = _check_limit_inputs(model, alpha, zeta)
     z = np.asarray(_check_z(model, z), dtype=np.float64)
     if model.family == EXPONENTIAL:
         # the null cdf is linear on [0, 1/2], so the crossing equation
@@ -256,7 +267,7 @@ def t_of_z_normal(alpha: float, zeta: float, rho: float, z) -> np.ndarray:
 def conditional_limits(model: ModelSpec, alpha: float, zeta: float,
                        z: float) -> ConditionalLimit:
     """Limits of V_n/n and the FDP conditionally on Z = z."""
-    alpha, zeta = _check_alpha_zeta(alpha, zeta)
+    alpha, zeta = _check_limit_inputs(model, alpha, zeta)
     if zeta < 1.0:
         t = float(t_of_z(model, alpha, zeta, z))
         return ConditionalLimit(v_over_n=t / alpha - (1.0 - zeta),
@@ -280,7 +291,7 @@ def g_distributions(model: ModelSpec, alpha: float, zeta: float,
     t_lower, which t(Z) exceeds, and 1 at or above the top of t(Z)'s
     range, t_upper or, for the exponential family, t(0).
     """
-    alpha, zeta = _check_alpha_zeta(alpha, zeta)
+    alpha, zeta = _check_limit_inputs(model, alpha, zeta)
     u = float(u)
     if which not in (1, 2):
         raise ValueError("which must be 1 or 2")

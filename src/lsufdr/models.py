@@ -489,7 +489,14 @@ def _substream_keys(seed: int, idx) -> np.ndarray:
     return keys
 
 
-_ZEROS4 = np.zeros(4, np.uint64)  # read, never written, by _rekey
+# a Philox state at the start of a substream, but for its key: `_rekey`
+# puts the key in and hands the dict to the state setter, which copies it
+_SUBSTREAM_START = {
+    "bit_generator": "Philox",
+    "state": {"counter": (0, 0, 0, 0), "key": None},
+    "buffer": (0, 0, 0, 0), "buffer_pos": 4,
+    "has_uint32": 0, "uinteger": 0,
+}
 
 
 def _rekey(rng: np.random.Generator, key: np.ndarray) -> None:
@@ -497,24 +504,27 @@ def _rekey(rng: np.random.Generator, key: np.ndarray) -> None:
     keyed by key, a row of `_substream_keys`.
 
     Cheaper than building a generator: only the key, the counter and the
-    buffer are set, and the state setter copies them.
+    buffer are set, from one module-level dict that each call rewrites,
+    so it is not safe to call from several threads at once.
     """
-    rng.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": _ZEROS4, "key": key},
-        "buffer": _ZEROS4, "buffer_pos": 4,
-        "has_uint32": 0, "uinteger": 0,
-    }
+    _SUBSTREAM_START["state"]["key"] = key
+    rng.bit_generator.state = _SUBSTREAM_START
 
 
-def draw_disturbance(model: ModelSpec, rng: np.random.Generator) -> float:
-    """One draw of Z by inverse-cdf transform."""
-    u = min(max(rng.random(), _U_TINY), 1.0 - _U_TINY)
+def _disturbance_quantile(model: ModelSpec, u: float) -> float:
+    """Z at the uniform u, clipped to [_U_TINY, 1 - _U_TINY], by
+    inverse-cdf transform."""
+    u = min(max(u, _U_TINY), 1.0 - _U_TINY)
     if model.family == NORMAL:
         return float(sf.Phi_inv(u))
     if model.family == STUDENT_T:
         return sf.chi_quantile(u, model.nu) / math.sqrt(model.nu)
     return -math.log1p(-u)
+
+
+def draw_disturbance(model: ModelSpec, rng: np.random.Generator) -> float:
+    """One draw of Z by inverse-cdf transform."""
+    return _disturbance_quantile(model, rng.random())
 
 
 def _null_pvalues(model: ModelSpec, z, u: np.ndarray) -> np.ndarray:

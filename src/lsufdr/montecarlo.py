@@ -23,7 +23,10 @@ alpha*n p-values are sorted in place of n.
 Within a chunk, replicates run in blocks of up to _BLOCK_ELEMS uniforms
 (one replicate per block once n reaches it).  Only the draws loop over
 the replicates of a block: one Philox generator is rekeyed to each
-replicate's key and draws its disturbance and uniforms into a row.
+replicate's key and fills the replicate's row in one call, the
+disturbance's uniform first, then the p-values'.  The disturbances of
+the block are then the scalar quantile of `draw_disturbance` mapped
+over the first column, with the same bits.
 Thresholds, p-values, the padded sort, the step-up counts and the
 histogram then run once per block, and the block's terms are added to
 the running sums in replicate order, so the sums are those of one
@@ -39,8 +42,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .models import ExtremeConfig, ModelSpec, draw_disturbance, make_rng, \
-    _assemble, _check_count, _check_z, _rekey, _sample_block, \
+from .models import ExtremeConfig, ModelSpec, make_rng, _assemble, \
+    _check_count, _check_z, _disturbance_quantile, _rekey, _sample_block, \
     _substream_keys, _uniform_count, f_infinity_mixed
 from .stepup import _check_alpha, _stepdown_count, _stepup_count
 # lsu and lsd stay bound here: perfbench/tracing.py wraps them
@@ -145,9 +148,9 @@ def _simulate_chunk(plan: SimulationPlan, start: int, stop: int,
     n = config.n
     count = _stepup_count if plan.procedure == "lsu" else _stepdown_count
     rows = max(1, min(stop - start, _BLOCK_ELEMS // n))
-    u = np.empty((rows, _uniform_count(model, config)))
-    z = np.full(rows, math.nan if plan.conditional_z is None
-                else float(plan.conditional_z))
+    lead = int(plan.conditional_z is None)  # z's uniform leads each row
+    u = np.empty((rows, lead + _uniform_count(model, config)))
+    z = np.full(rows, math.nan if lead else float(plan.conditional_z))
     rng = make_rng(config.seed)  # rekeyed before every replicate
     keys = _substream_keys(config.seed, range(start, stop))
     sums = np.zeros(8)  # fdp, fdp^2, v/n, (v/n)^2, v, r/n, (r/n)^2, r
@@ -159,10 +162,11 @@ def _simulate_chunk(plan: SimulationPlan, start: int, stop: int,
         zb, ub = z[:size], u[:size]
         for j in range(size):
             _rekey(rng, keys[first - start + j])
-            if plan.conditional_z is None:
-                zb[j] = draw_disturbance(model, rng)
             rng.random(out=ub[j])
-        p, nulls = _sample_block(model, config, zb, ub, alpha)
+        if lead:
+            zb[:] = [_disturbance_quantile(model, x)
+                     for x in ub[:, 0].tolist()]
+        p, nulls = _sample_block(model, config, zb, ub[:, lead:], alpha)
         m = count(p, alpha, n)
         # where m = 0 no p-value is at or below alpha/n, so none at 0
         null = np.arange(p.shape[1]) < nulls[:, None]

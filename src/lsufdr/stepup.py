@@ -91,8 +91,19 @@ def _passes(pvalues, alpha: float, n: int | None = None) -> np.ndarray:
     first ranks of a vector whose other p-values all exceed alpha.
     """
     ps = np.sort(pvalues, axis=-1)
-    ranks = np.arange(1, ps.shape[-1] + 1)
-    return ps <= alpha * ranks / (ps.shape[-1] if n is None else n)
+    return ps <= _critical(alpha, ps.shape[-1], n)
+
+
+def _critical(alpha: float, size: int, n: int | None = None) -> np.ndarray:
+    """Critical values k*alpha/n of the ranks k = 1..size (n = size by
+    default)."""
+    return alpha * np.arange(1, size + 1) / (size if n is None else n)
+
+
+def _last_pass(ok: np.ndarray) -> np.ndarray:
+    """The step-up rule on a pass/fail matrix of sorted values against
+    their critical values: each row's last passing rank, or 0."""
+    return (ok * np.arange(1, ok.shape[-1] + 1)).max(axis=-1, initial=0)
 
 
 def _stepup_count(pvalues, alpha: float, n: int | None = None) -> np.ndarray:
@@ -101,8 +112,7 @@ def _stepup_count(pvalues, alpha: float, n: int | None = None) -> np.ndarray:
     The p-values lie on the last axis (one vector or a block of rows);
     n is as in `_passes`.
     """
-    ok = _passes(pvalues, alpha, n)
-    return (ok * np.arange(1, ok.shape[-1] + 1)).max(axis=-1, initial=0)
+    return _last_pass(_passes(pvalues, alpha, n))
 
 
 def _stepdown_count(pvalues, alpha: float,

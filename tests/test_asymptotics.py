@@ -225,6 +225,22 @@ class TestTOfZ:
         assert np.allclose(t, 0.05 / (1.0 - 0.1 * np.exp(-z)), rtol=1e-15)
         assert np.all(t_of_z(ModelSpec.exponential(), 0.1, 1.0, z) == 0.0)
 
+    @pytest.mark.parametrize("call", [
+        # these returned [-0.75, -2.196], t = 0.75 above alpha, V/n = 0.75
+        # above zeta, and a cdf value read off the same wrong top
+        lambda e: t_of_z(e, 0.6, 0.9, [0.0, 0.05]),
+        lambda e: t_of_z(e, 0.6, 0.5, [0.0]),
+        lambda e: conditional_limits(e, 0.6, 0.5, 0.0),
+        lambda e: conditional_limits(e, 0.6, 1.0, 0.0),
+        lambda e: g_distributions(e, 0.6, 0.9, 0.3, 1),
+    ])
+    def test_exponential_alpha_above_half_rejected(self, call):
+        # the closed form alpha(1 - zeta)/(1 - 2 alpha zeta e^-z) needs the
+        # null cdf linear up to the crossing, which holds for alpha <= 1/2
+        with pytest.raises(ValueError, match=r"alpha <= 1/2"):
+            call(ModelSpec.exponential())
+        t_of_z(ModelSpec.exponential(), 0.5, 0.5, [0.0])  # the edge holds
+
 
 class TestTOfZMpmathOracle:
     """t_of_z against the crossing equation solved at 50 digits.

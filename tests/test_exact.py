@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from lsufdr import exact
 from lsufdr.exact import (
     BoundarySpec,
     _linear_null_quantile,
+    _uniform_cuts,
     LinearNullSpec,
     boundary_noncrossing_prob,
     exact_fdr_linear,
@@ -13,6 +15,7 @@ from lsufdr.exact import (
 )
 from lsufdr.models import ExtremeConfig, ModelSpec, gamma_at_zero
 from lsufdr.montecarlo import SimulationPlan, run
+from lsufdr.stepup import _critical, _stepup_count
 
 
 class TestExactFdrLinear:
@@ -217,3 +220,133 @@ class TestRestrictedIdentity:
             t_star + (u - head) * (1.0 - t_star) / (1.0 - head))
         assert np.array_equal(_linear_null_quantile(u, gamma, t_star),
                               expect)
+
+
+def reference_lhs(spec, alpha, replicates, seed):
+    """The Monte Carlo side of `restricted_fdr_check` on p-values: the
+    quantile of each uniform, the zeros, the step-up on the sorted copy
+    and the count of nulls at or below its threshold."""
+    n, n0 = spec.n, spec.n0
+    t_star = min(spec.t_star, alpha)
+    r = min(int(math.floor(n * t_star / alpha + 1e-12)), n)
+    rng = exact.make_rng(seed, 811)
+    chunk = max(1, min(200_000 // n, replicates))
+    sums, done = [], 0
+    while done < replicates:
+        b = min(chunk, replicates - done)
+        nulls = _linear_null_quantile(rng.random((b, n0)), spec.gamma, t_star)
+        m = _stepup_count(np.concatenate([nulls, np.zeros((b, n - n0))],
+                                         axis=1), alpha)
+        v = (nulls <= (m * alpha / n)[:, None]).sum(axis=1)
+        fdp = np.where((m > 0) & (m <= r), v / np.maximum(m, 1), 0.0)
+        sums.append(float(fdp.sum()))
+        done += b
+    return math.fsum(sums) / replicates
+
+
+def ulps_around(x, k=4):
+    """The doubles within k ulps of x, inside [0, 1)."""
+    bits = np.float64(x).view(np.int64) + np.arange(-k, k + 1)
+    u = bits.view(np.float64)
+    return u[(u >= 0.0) & (u < 1.0)]
+
+
+class TestRestrictedBits:
+    """The Monte Carlo side runs on sorted uniforms against per-rank
+    thresholds; its (lhs, rhs) keep the bits of the p-value route."""
+
+    # ((gamma, n0, n, t_star), alpha, replicates, seed, lhs, rhs), recorded
+    # on the p-value route (`reference_lhs`)
+    PINNED = [
+        # the benchmark's spec
+        ((1.0, 10, 10, 0.1), 0.2, 10 ** 6, 11,
+         "0x1.9843c3a42f1edp-3", "0x1.98b76ec9c6120p-3"),
+        # n1 > 0
+        ((1.0, 6, 8, 0.15), 0.3, 30_000, 5,
+         "0x1.5d008028c7282p-3", "0x1.5cafa4c404a76p-3"),
+        # gamma = 0
+        ((0.0, 5, 7, 0.2), 0.25, 20_000, 7, "0x0.0p+0", "0x0.0p+0"),
+        # gamma * t_star = 1, and with n = 1
+        ((5.0, 6, 8, 0.2), 0.2, 20_000, 3,
+         "0x1.8000000000000p-1", "0x1.8000000000000p-1"),
+        ((5.0, 1, 1, 0.2), 0.2, 5_000, 4,
+         "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+        # n = 1
+        ((1.0, 1, 1, 0.2), 0.2, 5_000, 4,
+         "0x1.9eecbfb15b574p-3", "0x1.999999999999ap-3"),
+        # a non-monotone seam at head = 0.08, without and with zeros
+        ((0.4, 10, 10, 0.2), 0.2, 30_000, 2,
+         "0x1.4c2f837b4a234p-4", "0x1.47ae147ae147cp-4"),
+        ((0.4, 8, 10, 0.2), 0.2, 30_000, 2,
+         "0x1.06b9feabcb9b9p-4", "0x1.0624dd2f1a9fdp-4"),
+        # replicate counts that are no multiple of the chunk (20,000 and
+        # 1,333 rows)
+        ((1.0, 10, 10, 0.1), 0.2, 50_001, 11,
+         "0x1.955f7dbff3388p-3", "0x1.98b76ec9c6120p-3"),
+        ((1.0, 140, 150, 0.05), 0.1, 3_001, 9,
+         "0x1.760f4feafd540p-4", "0x1.7e4b17e4b17e5p-4"),
+        # no true nulls
+        ((1.0, 0, 6, 0.1), 0.2, 1_000, 1, "0x0.0p+0", "0x0.0p+0"),
+    ]
+
+    @pytest.mark.parametrize("case", PINNED, ids=lambda c: str(c[:4]))
+    def test_pinned(self, case):
+        shape, alpha, reps, seed, lhs, rhs = case
+        out = restricted_fdr_check(LinearNullSpec(*shape), alpha, reps, seed)
+        assert (out[0].hex(), out[1].hex()) == (lhs, rhs)
+
+    @pytest.mark.parametrize("gamma,t_star,alpha,n,seam", [
+        (1.0, 0.1, 0.2, 10, False),
+        (0.4, 0.2, 0.3, 10, True),  # a seam that no critical value meets
+        (0.4, 0.2, 0.2, 10, True),  # c_10 = 0.2 lies in the seam
+        (5.0, 0.2, 0.2, 8, False),  # gamma * t_star = 1
+        (0.0, 0.2, 0.25, 7, False),
+    ])
+    def test_thresholds(self, gamma, t_star, alpha, n, seam):
+        def q(u):
+            return _linear_null_quantile(np.asarray(u, float), gamma, t_star)
+
+        crit = _critical(alpha, n)
+        cuts = _uniform_cuts(crit, gamma, t_star)
+        head = gamma * t_star
+        assert np.all(q(cuts) <= crit)
+        inner = cuts < np.nextafter(1.0, 0.0)  # else U_k is the top draw
+        assert np.all(crit[inner] < q(np.nextafter(cuts[inner], 1.0)))
+        assert inner.any()
+        # Q is nondecreasing but for its value at head, which can top the
+        # next double's by an ulp
+        step = q([head, np.nextafter(head, 1.0)])
+        assert (head < 1.0 and step[0] > step[1]) == seam
+        near = np.concatenate([ulps_around(x) for x in (*cuts, head)])
+        for c, cut in zip(crit, cuts):
+            agree = (q(near) <= c) == (near <= cut)
+            # only at head itself may the two disagree, and then the
+            # check routes the row through Q
+            assert np.all(agree | (near == head))
+
+    def test_seam_rows_step_up_on_pvalues(self, monkeypatch):
+        # rows holding u = head, where Q(head) = 0.2 + ulp fails c_10 = 0.2
+        # that the doubles above head pass, must reject 9, not 10
+        spec, alpha = LinearNullSpec(0.4, 8, 10, 0.2), 0.2
+        head = spec.gamma * spec.t_star
+        q_head = _linear_null_quantile(np.array([head]), 0.4, 0.2)[0]
+        assert q_head > 0.2 >= _linear_null_quantile(
+            np.array([np.nextafter(head, 1.0)]), 0.4, 0.2)[0]
+        # nulls at 0.9 of their ranks' critical values, the largest at head
+        row = np.append(0.4 * 0.9 * _critical(alpha, 10)[2:9], head)
+        make_rng = exact.make_rng
+
+        class Planted:
+            def __init__(self, *key):
+                self.rng = make_rng(*key)
+
+            def random(self, size):
+                u = self.rng.random(size)
+                u[::3] = self.rng.permuted(np.tile(row, (u[::3].shape[0], 1)),
+                                           axis=1)
+                return u
+
+        monkeypatch.setattr(exact, "make_rng", Planted)
+        reps = 20_000 + 7  # two chunks
+        lhs = restricted_fdr_check(spec, alpha, reps, seed=3)[0]
+        assert lhs == reference_lhs(spec, alpha, reps, seed=3)

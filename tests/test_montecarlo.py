@@ -504,6 +504,86 @@ class TestBlockKernel:
             assert np.array_equal(rng.random(9), fresh.random(9))
 
 
+class TestOneDrawPerReplicate:
+    """A replicate fills its row in one draw call, z's uniform first; the
+    block's z must be draw_disturbance on the same substream, bit for bit.
+    """
+
+    MODELS = [ModelSpec.normal(0.3), ModelSpec.student_t(4.0),
+              ModelSpec.exponential(), ModelSpec.exponential(false_theta=1.5)]
+    MODEL_IDS = ["normal", "student_t", "exponential", "exponential_shift"]
+
+    @staticmethod
+    def block_z(monkeypatch, plan):
+        seen = []
+        sample_block = montecarlo._sample_block
+
+        def spy(model, config, z, u, cutoff):
+            seen.append(z.copy())
+            return sample_block(model, config, z, u, cutoff)
+
+        monkeypatch.setattr(montecarlo, "_sample_block", spy)
+        run(plan, workers=1)
+        return np.concatenate(seen)
+
+    @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+    def test_block_z_is_draw_disturbance(self, monkeypatch, model):
+        n = 40  # blocks of 1,638 rows, the last one short
+        plan = _plan(model, n, 0.6, 0.1, montecarlo._BLOCK_ELEMS // n + 9, 52)
+        expect = [draw_disturbance(model, make_rng(52, i))
+                  for i in range(plan.replicates)]
+        assert self.block_z(monkeypatch, plan).tobytes() \
+            == np.array(expect).tobytes()
+
+    @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+    def test_clipped_uniforms(self, monkeypatch, model):
+        # z's uniforms at and past both ends of the clip to
+        # [_U_TINY, 1 - _U_TINY], planted in the first column
+        tiny = models._U_TINY
+        planted = [0.0, 5e-324, 1e-17, tiny, math.nextafter(tiny, 1.0),
+                   1.0 - tiny, 1.0, 0.5]
+
+        class Planted:
+            def __init__(self, seed):
+                self.rng = make_rng(seed)
+                self.bit_generator = self.rng.bit_generator
+                self.next = 0
+
+            def random(self, out):
+                self.rng.random(out=out)
+                out[0] = planted[self.next % len(planted)]
+                self.next += 1
+
+        class Scalar:
+            def __init__(self, u):
+                self.u = u
+
+            def random(self):
+                return self.u
+
+        monkeypatch.setattr(montecarlo, "make_rng", Planted)
+        plan = _plan(model, 30, 0.6, 0.1, 3 * len(planted), 53)
+        expect = [draw_disturbance(model, Scalar(planted[i % len(planted)]))
+                  for i in range(plan.replicates)]
+        z = self.block_z(monkeypatch, plan)
+        assert z.tobytes() == np.array(expect).tobytes()
+        assert z[0] == z[3] and z[5] == z[6]  # the clip took hold
+
+    def test_rekey_after_many_rekeys(self):
+        # two generators take turns rekeying through the one state dict;
+        # each must start every substream afresh
+        keys = _substream_keys(11, range(400))
+        a, b = make_rng(1), make_rng(2)
+        for i in (*range(400), 7, 7, 399, 0):
+            for rng in (a, b):
+                rng.random(i % 5)
+                rng.integers(0, 10, size=i % 3, dtype=np.uint32)
+                _rekey(rng, keys[i])
+            fresh = make_rng(11, i).random(6)
+            assert np.array_equal(a.random(6), fresh)
+            assert np.array_equal(b.random(6), fresh)
+
+
 def seed_sequence_keys(seed, idx):
     return np.array([np.random.SeedSequence(entropy=(seed, int(i)))
                      .generate_state(2, np.uint64) for i in idx],
