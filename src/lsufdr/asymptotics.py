@@ -65,6 +65,15 @@ def _eer_fdr(model: ModelSpec, alpha: float, zeta: float,
     t_lower*dt/t^2, over the stretches [t_lower, t1] and [t2, t_upper]
     of largest crossing points.  Across the gap (t1, t2) the weight is
     the constant W(z*).
+
+    At a window end e (u_lo or u_hi), W or 1 - W behaves like |u - e|^g
+    up to log factors, with g = (1 - rho)/rho for the normal family.
+    Near rho = 1 that is a steep power law; near independence W climbs
+    from 0 to 1 only in a layer next to u_hi thinner than the distance
+    to any node of a fixed panel.  Each integral therefore runs over s
+    in [0, 1] with u = e + (c - e)*s^3, c being the stretch's tangent
+    end u1 or u2, and dt carries the Jacobian 3|c - e|*s^2: the nodes
+    crowd toward e, and |u - e|^g turns into s^(3g + 2).
     """
     rep = crossing_report(model, alpha, zeta)
     t1, t2, t_lower = rep.t1, rep.t2, rep.t_lower
@@ -86,14 +95,23 @@ def _eer_fdr(model: ModelSpec, alpha: float, zeta: float,
         t, w = weight_dt(u)
         return w * t_lower / (t * t)
 
+    def graded(f, end: float, tangent: float, tol: float):
+        span = tangent - end
+        scale = 3.0 * abs(span)
+
+        def g(s: float) -> float:
+            s2 = s * s
+            return f(end + span * (s2 * s)) * (scale * s2)
+        return integrate(g, 0.0, 1.0, tol=tol)
+
     if zeta == 1.0:
-        val, err = integrate(eer, u_lo, u2, tol=tol)
+        val, err = graded(eer, u_lo, u2, tol)
         return AsymptoticResult(eer=t2 * w_star / alpha + val, fdr=w_star,
                                 t1=t1, t2=t2, quadrature_error=err)
     # four integrals share the tolerance, so their summed error meets it
     (v1, e1), (v2, e2), (v3, e3), (v4, e4) = (
-        integrate(f, a, b, tol=0.25 * tol)
-        for f in (eer, fdr) for a, b in ((u1, u_hi), (u_lo, u2)))
+        graded(f, end, tangent, 0.25 * tol)
+        for f in (eer, fdr) for end, tangent in ((u_hi, u1), (u_lo, u2)))
     gap = w_star if rep.has_tangent else 0.0
     return AsymptoticResult(eer=(t2 - t1) / alpha * gap + v1 + v2,
                             fdr=(t_lower / t1 - t_lower / t2) * gap + v3 + v4,

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .models import make_rng
+from .models import _check_count, make_rng
 from .stepup import _check_alpha, _critical, _last_pass
 
 __all__ = [
@@ -44,8 +44,10 @@ class LinearNullSpec:
     def __post_init__(self):
         if not self.gamma >= 0.0:
             raise ValueError("gamma must be nonnegative")
-        if not 0 <= self.n0 <= self.n or self.n < 1:
-            raise ValueError("need 0 <= n0 <= n and n >= 1")
+        object.__setattr__(self, "n", _check_count(self.n, "n", 1))
+        object.__setattr__(self, "n0", _check_count(self.n0, "n0", 0))
+        if self.n0 > self.n:
+            raise ValueError("need n0 <= n")
         if not 0.0 < self.t_star <= 1.0:
             raise ValueError("t_star must lie in (0, 1]")
         if self.gamma * self.t_star > 1.0 + 1e-12:
@@ -212,8 +214,8 @@ def restricted_fdr_check(spec: LinearNullSpec, alpha: float,
     up on their p-values.
     """
     alpha = _check_alpha(alpha)
-    if replicates < 1:
-        raise ValueError("replicates must be at least 1")
+    replicates = _check_count(replicates, "replicates", 1)
+    seed = _check_count(seed, "seed", 0)
     n, n0 = spec.n, spec.n0
     n1 = n - n0
     gamma, t_star = spec.gamma, min(spec.t_star, alpha)

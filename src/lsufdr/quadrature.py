@@ -13,6 +13,12 @@ Endpoints are never evaluated, which matters here because the EER/FDR
 integrands have unbounded derivatives at interval ends.  The interval
 starts as two panels split at its midpoint: one GK15 panel's error
 estimate can miss an endpoint singularity that its halves expose.
+Bisection alone pays for a power-law end with one split per halving,
+and mass confined to a layer between the end and the outermost node is
+never seen at all.  So `asymptotics._eer_fdr` does not hand over its
+integrals in the null quantile u but in s on [0, 1], with u = e +
+(c - e)*s^3: the nodes crowd toward the singular end e, and |u - e|^g
+turns into s^(3g + 2).
 """
 
 from __future__ import annotations

@@ -67,6 +67,23 @@ class TestCurve:
         row = read(out).splitlines()[1].split(",")
         assert float(row[5]) == pytest.approx(0.025, abs=1e-5)
 
+    def test_small_alpha_near_independence(self, tmp_path, capsys):
+        # the weight's mass sits in a thin layer next to the window end
+        # here; every row is close to the independence limits, not 0
+        out = tmp_path / "small.csv"
+        alpha, zeta = 0.001, 0.5
+        code = main(["curve", "--model", "normal", "--alpha", str(alpha),
+                     "--zeta", str(zeta), "--rho-grid", "0.01:0.0001:3",
+                     "--out", str(out)])
+        assert code == 0
+        rows = [r.split(",") for r in read(out).splitlines()[1:]]
+        assert len(rows) == 3
+        for row in rows:
+            assert row[9] == "ok"
+            assert float(row[4]) == pytest.approx(
+                zeta * alpha * (1 - zeta) / (1 - alpha * zeta), rel=0.01)
+            assert float(row[5]) == pytest.approx(zeta * alpha, rel=0.01)
+
     def test_t_sweep_json(self, tmp_path, capsys):
         out = tmp_path / "curve.json"
         code = main(["curve", "--model", "t", "--alpha", "0.05",

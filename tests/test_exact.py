@@ -200,6 +200,33 @@ class TestRestrictedIdentity:
         with pytest.raises(ValueError, match="replicates"):
             restricted_fdr_check(spec, alpha=0.2, replicates=replicates)
 
+    def test_integral_float_replicates(self):
+        spec = LinearNullSpec(gamma=1.0, n0=10, n=10, t_star=0.1)
+        assert restricted_fdr_check(spec, 0.2, 30001.0) \
+            == restricted_fdr_check(spec, 0.2, 30001)
+
+    def test_fractional_replicates_rejected(self):
+        spec = LinearNullSpec(gamma=1.0, n0=10, n=10, t_star=0.1)
+        with pytest.raises(ValueError, match="replicates"):
+            restricted_fdr_check(spec, alpha=0.2, replicates=2.5)
+
+    @pytest.mark.parametrize("seed", [2.5, -1])
+    def test_seed_checked(self, seed):
+        spec = LinearNullSpec(gamma=1.0, n0=10, n=10, t_star=0.1)
+        with pytest.raises(ValueError, match="seed"):
+            restricted_fdr_check(spec, alpha=0.2, replicates=100, seed=seed)
+
+    @pytest.mark.parametrize("n0,n", [(10.5, 11), (3, 7.5), (-1, 5),
+                                      (5, 0), (6, 5)])
+    def test_counts_checked(self, n0, n):
+        with pytest.raises(ValueError, match="n"):
+            LinearNullSpec(gamma=1.0, n0=n0, n=n, t_star=0.1)
+
+    def test_integral_float_counts(self):
+        spec = LinearNullSpec(gamma=1.0, n0=4.0, n=6.0, t_star=0.1)
+        assert (spec.n0, spec.n) == (4, 6)
+        assert type(spec.n0) is int and type(spec.n) is int
+
     def test_sub_linear_slope(self):
         spec = LinearNullSpec(gamma=0.5, n0=12, n=12, t_star=0.125)
         lhs, rhs = restricted_fdr_check(spec, alpha=0.25, replicates=400000)
