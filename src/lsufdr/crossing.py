@@ -10,9 +10,11 @@ The geometry is a property of the crossing map z(u) alone
 (`models.crossing_at`): the disturbance whose mixed cdf meets the line
 at t = sf(u), u the null quantile.  A tangent exists when z turns down
 on its way up from t_upper to t_lower; the turning point u2 gives t2
-and z* = z(u2), and t1 solves z(u) = z* past the local minimum.  One
-solver, a sign scan of dz/du and `specfun._solve_increasing` on each
-bracket, serves both families; u stays representable where t2 crowds
+and z* = z(u2), and t1 solves z(u) = z* past the local minimum.  For
+zeta < 1 the slope of z has one interior minimum (in log u for the t
+family), as measured, not proved: one golden-section search for it
+decides the tangent, and `specfun._solve_increasing` finds u2 and the
+dip's end on either side.  u stays representable where t2 crowds
 toward 0 as zeta approaches one.
 """
 
@@ -22,6 +24,7 @@ import math
 from dataclasses import dataclass
 
 from . import specfun as sf
+from .specfun import SolverError
 from .models import EXPONENTIAL, STUDENT_T, ModelSpec, _check_alpha_zeta, \
     crossing_at, crossing_window, null_isf, null_sf
 
@@ -31,13 +34,11 @@ __all__ = [
     "crossing_report",
 ]
 
-_SCAN_CELLS = 1000
-_SCAN_STRIDE = 10
+# a dip whose least slope lies within the search's error, about 1e-12
+# at a bracket of _X_RTOL, drops z below z* by less than rounding
+_INV_PHI = 0.5 * (math.sqrt(5.0) - 1.0)
+_X_RTOL = 1e-6
 _U_RTOL = 1e-14
-
-
-class SolverError(RuntimeError):
-    """Raised when a bracket scan fails; the message carries diagnostics."""
 
 
 @dataclass(frozen=True)
@@ -60,36 +61,26 @@ class CrossingReport:
     u_window: tuple[float, float]
 
 
-def _scan(h, x_start: float, x_end: float, count: int):
-    """Brackets (a, b) of the first `count` sign changes of h, from
-    x_start toward x_end, and the grid point of least h.
+def _argmin(f, a: float, b: float) -> tuple[float, float]:
+    """(x, f(x)) at the least value of a unimodal f on (a, b), nan
+    counted as +inf: golden-section search (Kiefer, Proc. AMS 4, 1953)
+    down to a bracket of _X_RTOL relative."""
+    def g(x):
+        y = f(x)
+        return math.inf if math.isnan(y) else y
 
-    The grid has _SCAN_CELLS cells.  Every _SCAN_STRIDE-th point is
-    visited first; without a sign change there, the two coarse cells
-    around the least value, where a narrower dip below zero would sit,
-    are filled in.  nan values of h are skipped.
-    """
-    def sweep(grid):
-        brackets, prev, lowest = [], None, (math.inf, grid[0])
-        for x in grid:
-            f = h(x)
-            if math.isnan(f):
-                continue
-            lowest = min(lowest, (f, x))
-            if prev is not None and (f > 0.0) != (prev[0] > 0.0):
-                brackets.append((prev[1], x))
-                if len(brackets) == count:
-                    break
-            prev = (f, x)
-        return brackets, lowest[1]
-
-    xs = [x_start - (x_start - x_end) * i / _SCAN_CELLS
-          for i in range(_SCAN_CELLS + 1)]
-    brackets, x_near = sweep(xs[::_SCAN_STRIDE])
-    if brackets:
-        return brackets, x_near
-    k = xs.index(x_near)
-    return sweep(xs[max(k - _SCAN_STRIDE, 0):k + _SCAN_STRIDE + 1])
+    c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+    fc, fd = g(c), g(d)
+    while b - a > _X_RTOL * max(1.0, abs(c)):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_PHI * (b - a)
+            fc = g(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_PHI * (b - a)
+            fd = g(d)
+    return (c, fc) if fc < fd else (d, fd)
 
 
 def crossing_report(model: ModelSpec, alpha: float,
@@ -131,24 +122,25 @@ def crossing_report(model: ModelSpec, alpha: float,
             u1=math.inf, u2=u2, u_window=(u_lo, math.inf))
 
     u_hi = null_isf(model, t_lower)
-    # heavy t tails can make u_hi exceed u_lo by many decades: keep the
-    # scan's ends off the window's ends by a margin relative to each
+    # a margin relative to each end keeps the search off the window's
+    # ends; heavy t tails span decades of u, so t searches in log u
+    lo = u_lo + 1e-10 * max(1.0, abs(u_lo))
     hi = u_hi - 1e-10 * max(1.0, abs(u_hi))
-    brackets, u_near = _scan(slope, u_lo + 1e-10 * max(1.0, abs(u_lo)),
-                             hi, 2)
+    to_u, to_v = (math.exp, math.log) if model.family == STUDENT_T \
+        else (float, float)
+    v_min, least = _argmin(lambda v: slope(to_u(v)), to_v(lo), to_v(hi))
     z_star = None
-    u1 = u2 = u_near
-    if brackets:
-        u2 = sf._solve_increasing(lambda u: -slope(u), *brackets[0], _U_RTOL)
+    u1 = u2 = u_min = to_u(v_min)
+    if least < 0.0:
+        u2 = sf._solve_increasing(lambda u: -slope(u), lo, u_min, _U_RTOL)
         z_star = z(u2)
-        # z falls from z* to a local minimum in the second bracket, then
-        # rises past z* at u1; without a second bracket the minimum lies
-        # within rounding of t_lower, past the scan's end.  gap >= 0 is
-        # a degenerate tangency.  z(u_hi) below z* puts u1 within
-        # rounding of u_hi, where z leaps to +inf.
-        u_dip = brackets[1][0] if len(brackets) > 1 else hi
-        gap = z(u_dip) - z_star
-        if gap < 0.0:
+        # z falls from z* to its local minimum at u_dip (within rounding
+        # of t_lower if the slope is negative at hi), then rises past z*
+        # at u1 (within rounding of u_hi, where z leaps to +inf, if
+        # z(u_hi) < z*).  z(u_dip) >= z* is a degenerate tangency.
+        u_dip = hi if slope(hi) <= 0.0 \
+            else sf._solve_increasing(slope, u_min, hi, _U_RTOL)
+        if z(u_dip) < z_star:
             u1 = min(sf._solve_increasing(lambda u: z(u) - z_star, u_dip,
                                           u_hi, _U_RTOL), u_hi)
     # without a tangent the closest approach stands in for t1 = t2, so

@@ -125,10 +125,10 @@ class ExtremeConfig:
 
 
 def _check_count(value, name: str, low: int) -> int:
-    """value as an int, once it is integral (10.0 passes, 10.7 does not)
-    and at least low."""
+    """value as an int, once it is integral (10.0 passes, 10.7 and True
+    do not) and at least low."""
     try:
-        count = int(value)
+        count = None if isinstance(value, (bool, np.bool_)) else int(value)
     except (TypeError, ValueError, OverflowError):
         count = None
     if count is None or count != value or count < low:

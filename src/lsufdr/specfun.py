@@ -452,6 +452,10 @@ def _check_nu(nu: float) -> float:
     return nu
 
 
+class SolverError(RuntimeError):
+    """Raised when a root solve fails; the message carries diagnostics."""
+
+
 def _solve_increasing(g, lo, hi, rtol, dens=None, x=None):
     """Root of an increasing g with g(lo) < 0, bracketed from [lo, hi].
 
@@ -461,7 +465,7 @@ def _solve_increasing(g, lo, hi, rtol, dens=None, x=None):
     falsi steps on the bracket (Dowell & Jarratt, BIT 11, 1971).  A step
     that leaves the bracket is replaced by bisection, geometric while lo
     is 0 so that a root far below hi takes a few steps.  Stops when a
-    step is below rtol relative.
+    step is below rtol relative; raises SolverError after 200 steps.
     """
     g_hi = g(hi)
     while g_hi < 0.0:
@@ -493,10 +497,11 @@ def _solve_increasing(g, lo, hi, rtol, dens=None, x=None):
                 x_new = min(_SQRT_FLOAT_MIN * math.sqrt(hi), 0.5 * hi)
             else:
                 x_new = 0.5 * lo + 0.5 * hi  # lo + hi may overflow
-        if abs(x_new - x) <= rtol * abs(x_new):
-            return x_new
-        x = x_new
-    return x
+        step, x = x_new - x, x_new
+        if abs(step) <= rtol * abs(x):
+            return x
+    raise SolverError(f"no root to rtol {rtol} in 200 steps: bracket "
+                      f"[{lo!r}, {hi!r}], last step {step!r} to {x!r}")
 
 
 def t_pdf(x, nu: float):

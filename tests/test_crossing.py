@@ -7,7 +7,10 @@ import pytest
 import lsufdr.crossing as crossing
 from lsufdr import specfun as sf
 from lsufdr.crossing import CrossingReport, SolverError, crossing_report
-from lsufdr.models import ModelSpec, f_infinity_mixed, z_of_t
+from lsufdr.models import ModelSpec, crossing_at, crossing_window, \
+    f_infinity_mixed, null_isf, null_sf, z_of_t
+
+INV_PHI = 0.5 * (math.sqrt(5.0) - 1.0)
 
 
 def mixed_cdf_grid_normal(rho, ts, z, zeta):
@@ -21,6 +24,26 @@ def gap_normal(u, x0, zeta, alpha, rho):
     """Mixed cdf of disturbance x0 less the line t/alpha at t = sf(u)."""
     t = sf.norm_sf(u)
     return f_infinity_mixed(ModelSpec.normal(rho), t, x0, zeta) - t / alpha
+
+
+def critical_rho(alpha, zeta):
+    """rho_c = 1 - (alpha zeta)^2 exp(-min h), h(u) = x(u)^2 - u^2 for the
+    crossing quantile x at t = sf(u): the normal slope of z(u) is
+    log(1 - rho)/2 - log(alpha zeta) + h(u)/2, so a tangent exists iff
+    rho > rho_c.  min h from a dense grid refined by golden section."""
+    def h(u):
+        p = (sf.norm_sf(u) - alpha * (1.0 - zeta)) / (alpha * zeta)
+        x = sf.norm_isf(p) if p <= 0.5 else -sf.norm_isf(1.0 - p)
+        return x * x - u * u
+
+    us = np.linspace(sf.norm_isf(alpha), sf.norm_isf(alpha * (1.0 - zeta)),
+                     2002)[1:-1]
+    k = int(np.argmin([h(float(u)) for u in us]))
+    a, b = float(us[max(k - 1, 0)]), float(us[min(k + 1, us.size - 1)])
+    while b - a > 1e-9 * max(1.0, abs(a)):
+        c, d = b - INV_PHI * (b - a), a + INV_PHI * (b - a)
+        a, b = (a, d) if h(c) < h(d) else (c, b)
+    return 1.0 - (alpha * zeta) ** 2 * math.exp(-h(0.5 * (a + b)))
 
 
 def tangency(spec, alpha, zeta):
@@ -280,6 +303,63 @@ class TestCrossingReport:
         assert rep.z_at_tangent == pytest.approx(full.z_at_tangent, rel=1e-6)
 
 
+class TestOneDip:
+    """crossing_report minimizes the slope of z(u) once, which is right
+    only while the slope has one interior minimum: measured here, not
+    proved."""
+
+    @pytest.mark.parametrize("case", range(24))
+    def test_slope_turns_once(self, case):
+        rng = np.random.default_rng([21, case])
+        zeta = float(1.0 - 10.0 ** rng.uniform(-7.0, math.log10(0.98)))
+        if case % 2:
+            spec = ModelSpec.normal(float(rng.uniform(0.01, 0.99)))
+            alpha = float(10.0 ** rng.uniform(-4.0, math.log10(0.95)))
+        else:
+            spec = ModelSpec.student_t(float(10.0 ** rng.uniform(-0.3, 6.0)))
+            alpha = float(10.0 ** rng.uniform(-4.0, math.log10(0.5)))
+        t_lower, t_upper = crossing_window(spec, alpha, zeta)
+        ends = null_isf(spec, t_upper), null_isf(spec, t_lower)
+        grid = np.linspace if spec.family == "normal" else np.geomspace
+        slope = np.array([crossing_at(spec, float(u), alpha, zeta)[2]
+                          for u in grid(*ends, 1502)[1:-1]])
+        assert np.all(np.isfinite(slope))
+        way = np.sign(np.diff(slope))
+        way = way[way != 0.0]
+        assert np.count_nonzero(way[1:] != way[:-1]) == 1, \
+            (spec, alpha, zeta)
+
+    @pytest.mark.parametrize("case", range(40))
+    def test_tangent_birth_normal(self, case):
+        rng = np.random.default_rng([22, case])
+        rho_c = -1.0
+        while not 1e-4 < rho_c < 1.0 - 1e-4:
+            alpha = float(10.0 ** rng.uniform(-3.0, math.log10(0.9)))
+            zeta = float(rng.uniform(0.05, 0.999))
+            rho_c = critical_rho(alpha, zeta)
+        for rho, tangent in ((rho_c - 1e-6, False), (rho_c + 1e-6, True)):
+            rep = crossing_report(ModelSpec.normal(rho), alpha, zeta)
+            assert rep.has_tangent == tangent, (alpha, zeta, rho_c, rho)
+
+    def test_narrow_dip(self):
+        # just past tangent birth the least slope is -1e-8, and the slope
+        # is negative on 6.5e-5 in u, a ninth of a cell of a 1000-cell
+        # grid over the window: a grid scan misses this dip
+        alpha, zeta = 0.0434, 0.7423
+        rho_c = critical_rho(alpha, zeta)
+        spec = ModelSpec.normal(1.0 - (1.0 - rho_c) * math.exp(-2e-8))
+        rep = crossing_report(spec, alpha, zeta)
+        assert rep.has_tangent and rep.t1 < rep.t2
+        u_lo, u_hi = rep.u_window
+        assert (rep.u1 - rep.u2) / (u_hi - u_lo) < 1e-3
+        # z falls from z* and rises back to it across the gap
+        z_mid = z_of_t(spec, null_sf(spec, 0.5 * (rep.u1 + rep.u2)),
+                       alpha, zeta)
+        assert z_mid < rep.z_at_tangent
+        assert z_of_t(spec, rep.t2, alpha, zeta) \
+            == pytest.approx(rep.z_at_tangent, rel=1e-12)
+
+
 class TestReportInvariants:
     def test_ordering(self):
         # alpha > 1/2 puts the normal window's upper end at u < 0; at
@@ -319,6 +399,13 @@ class TestSolverWork:
         rep = crossing_report(ModelSpec.normal(0.5), 0.05, 1.0)
         assert rep.has_tangent
         assert len(calls) <= 20
+
+    def test_report_without_tangent_is_cheap(self, monkeypatch):
+        # a 101-point scan and a 21-point fill-in made 122 calls here
+        calls = self.counting(monkeypatch)
+        rep = crossing_report(ModelSpec.normal(0.3), 0.05, 0.5)
+        assert not rep.has_tangent
+        assert len(calls) <= 60
 
     def test_slope_never_negative_raises(self, monkeypatch):
         calls = self.counting(monkeypatch, lambda model, u, alpha, zeta:

@@ -217,7 +217,8 @@ class TestRestrictedIdentity:
             restricted_fdr_check(spec, alpha=0.2, replicates=100, seed=seed)
 
     @pytest.mark.parametrize("n0,n", [(10.5, 11), (3, 7.5), (-1, 5),
-                                      (5, 0), (6, 5)])
+                                      (5, 0), (6, 5), (True, 3),
+                                      (np.True_, 3), (1, True)])
     def test_counts_checked(self, n0, n):
         with pytest.raises(ValueError, match="n"):
             LinearNullSpec(gamma=1.0, n0=n0, n=n, t_star=0.1)

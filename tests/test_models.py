@@ -62,7 +62,8 @@ class TestSpecValidation:
         assert (cfg.n, cfg.seed) == (10, 3)
         assert type(cfg.n) is int and type(cfg.seed) is int
         for n, seed in ((10.7, 1), (10, 1.5), (math.nan, 1), (10, math.inf),
-                        ("10", 1), (0, 1), (10, -1)):
+                        ("10", 1), (0, 1), (10, -1), (True, 1),
+                        (np.True_, 1), (10, False)):
             with pytest.raises(ValueError, match="must be an integer"):
                 ExtremeConfig(n, 0.5, seed)
 

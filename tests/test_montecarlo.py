@@ -52,7 +52,7 @@ class TestPlanValidation:
                               alpha=0.1, replicates=40.0)
         assert type(plan.replicates) is int
         assert run(plan).replicates == 40
-        for reps in (2.5, 1000.5, math.nan, "40"):
+        for reps in (2.5, 1000.5, math.nan, "40", True, np.True_):
             with pytest.raises(ValueError, match="replicates must be an"):
                 SimulationPlan(model=ModelSpec.exponential(), config=config,
                                alpha=0.1, replicates=reps)

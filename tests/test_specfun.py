@@ -420,6 +420,24 @@ class TestSolveIncreasing:
         assert calls[-1] == sys.float_info.max
         assert len(calls) < 520
 
+    def test_out_of_steps_raises(self):
+        # a derivative a million times too steep: each Newton step moves
+        # a millionth of the way and never leaves the bracket
+        g, calls = self.counted(lambda x: x - 3.0)
+        with pytest.raises(sf.SolverError, match=r"bracket \[.*last step"):
+            sf._solve_increasing(g, 0.0, 10.0, 1e-14, lambda x: 1e6, 1.0)
+        assert len(calls) == 201
+
+    def test_far_t_tail_is_right_or_raises(self):
+        # the tail's Newton steps crawl here: the root is 54.29, and 200
+        # steps from the normal seed reach only 50.38
+        q = 1e-300
+        try:
+            x = sf.t_isf(q, 1000.0)
+        except sf.SolverError:
+            return
+        assert sf.t_sf(x, 1000.0) == pytest.approx(q, rel=1e-12)
+
 
 class TestErfFamily:
     def test_against_stdlib(self):
