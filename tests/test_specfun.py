@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+import lsufdr
 from lsufdr import specfun as sf
 
 
@@ -427,6 +428,8 @@ class TestSolveIncreasing:
         with pytest.raises(sf.SolverError, match=r"bracket \[.*last step"):
             sf._solve_increasing(g, 0.0, 10.0, 1e-14, lambda x: 1e6, 1.0)
         assert len(calls) == 201
+        assert sf.SolverError is lsufdr.SolverError \
+            is lsufdr.crossing.SolverError
 
     def test_far_t_tail_is_right_or_raises(self):
         # the tail's Newton steps crawl here: the root is 54.29, and 200
