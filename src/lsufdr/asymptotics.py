@@ -18,8 +18,10 @@ import numpy as np
 from . import specfun as sf
 from .crossing import SolverError, crossing_report
 from .models import EXPONENTIAL, NORMAL, ModelSpec, _check_alpha_zeta, \
-    _check_z, crossing_at, crossing_window, disturbance_cdf, gamma_at_zero, \
-    null_pdf, null_sf, z_of_t
+    _check_z, _z_of_fraction, crossing_at, crossing_window, \
+    disturbance_cdf, gamma_at_zero, null_pdf, null_sf
+# z_of_t stays bound here: perfbench/tracing.py wraps it
+from .models import z_of_t  # noqa: F401
 from .quadrature import integrate
 from .stepup import _check_alpha
 
@@ -305,9 +307,10 @@ def g_distributions(model: ModelSpec, alpha: float, zeta: float,
                     u: float, which: int) -> float:
     """Cdf of the limiting V/n (which=1) or FDP (which=2) at u.
 
-    Both are P(t(Z) <= t) for the t that u maps to: 0 at or below
-    t_lower, which t(Z) exceeds, and 1 at or above the top of t(Z)'s
-    range, t_upper or, for the exponential family, t(0).
+    Both are P(t(Z) <= t) for the t that u maps to, 1 at or above the
+    top of t(Z)'s range, t_upper or, for the exponential family, t(0).
+    t rounds to t_lower for u below about 1e-16, so the crossing
+    quantile takes t's place in the window, p, as formed from u.
     """
     alpha, zeta = _check_limit_inputs(model, alpha, zeta)
     u = float(u)
@@ -317,23 +320,25 @@ def g_distributions(model: ModelSpec, alpha: float, zeta: float,
         raise ValueError("u must lie in (0, zeta)")
     if which == 1:
         t = alpha * (u + 1.0 - zeta)
+        p, pc = u / zeta, (zeta - u) / zeta
     else:
         if zeta == 1.0:
             raise ValueError("the FDP distribution needs zeta < 1")
         t = alpha * (1.0 - zeta) / (1.0 - u)
-    t_lower, t_top = crossing_window(model, alpha, zeta)
-    if model.family == EXPONENTIAL and 2.0 * alpha * zeta < 1.0:
-        t_top = alpha * (1.0 - zeta) / (1.0 - 2.0 * alpha * zeta)
-    if t >= t_top:
+        p = (1.0 - zeta) * u / (zeta * (1.0 - u))
+        pc = (zeta - u) / (zeta * (1.0 - u))
+    # exponential: t(Z) tops out at t(0), where exp(-z) = p/(2t) is 1
+    if t >= crossing_window(model, alpha, zeta)[1] or (
+            model.family == EXPONENTIAL and p >= 2.0 * t):
         return 1.0
-    if t <= t_lower:
+    if p <= 0.0:  # (1 - zeta)*u underflowed
         return 0.0
     if model.family != EXPONENTIAL:
         rep = crossing_report(model, alpha, zeta)
         if rep.has_tangent and rep.t1 < t < rep.t2:
             # no largest crossing lies in the gap: t(Z) <= t iff Z >= z*
             return 1.0 - disturbance_cdf(model, rep.z_at_tangent)
-    return 1.0 - disturbance_cdf(model, z_of_t(model, t, alpha, zeta))
+    return 1.0 - disturbance_cdf(model, _z_of_fraction(model, t, p, pc))
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,10 @@ on its way up from t_upper to t_lower; the turning point u2 gives t2
 and z* = z(u2), and t1 solves z(u) = z* past the local minimum.  For
 zeta < 1 the slope of z has one interior minimum (in log u for the t
 family), as measured, not proved: one golden-section search for it
-decides the tangent, and `specfun._solve_increasing` finds u2 and the
-dip's end on either side.  u stays representable where t2 crowds
-toward 0 as zeta approaches one.
+decides the tangent.  `specfun._solve_increasing` finds u2 below the
+minimizer, where the slope turns negative, and u1 above it, where z
+climbs back to z*.  u stays representable where t2 crowds toward 0 as
+zeta approaches one.
 """
 
 from __future__ import annotations
@@ -134,15 +135,12 @@ def crossing_report(model: ModelSpec, alpha: float,
     if least < 0.0:
         u2 = sf._solve_increasing(lambda u: -slope(u), lo, u_min, _U_RTOL)
         z_star = z(u2)
-        # z falls from z* to its local minimum at u_dip (within rounding
-        # of t_lower if the slope is negative at hi), then rises past z*
-        # at u1 (within rounding of u_hi, where z leaps to +inf, if
-        # z(u_hi) < z*).  z(u_dip) >= z* is a degenerate tangency.
-        u_dip = hi if slope(hi) <= 0.0 \
-            else sf._solve_increasing(slope, u_min, hi, _U_RTOL)
-        if z(u_dip) < z_star:
-            u1 = min(sf._solve_increasing(lambda u: z(u) - z_star, u_dip,
-                                          u_hi, _U_RTOL), u_hi)
+        # the slope is negative on (u2, u_min], so z < z* there; past
+        # u_min z crosses z* once, at u1, or stays below it up to u_hi,
+        # where z leaps to +inf.  z(u_min) >= z* is a degenerate tangency.
+        if z(u_min) < z_star:
+            u1 = u_hi if z(u_hi) < z_star else sf._solve_increasing(
+                lambda u: z(u) - z_star, u_min, u_hi, _U_RTOL)
     # without a tangent the closest approach stands in for t1 = t2, so
     # the endpoints move continuously through the tangent birth
     t2 = min(max(null_sf(model, u2), t_lower), t_upper)

@@ -145,7 +145,9 @@ def _linear_null_quantile(u: np.ndarray, gamma: float,
     """Inverse of the continued linear-at-zero cdf.
 
     Mass gamma*t_star is uniform on (0, t_star); the remainder is
-    spread uniformly over (t_star, 1].
+    spread uniformly over (t_star, 1].  The head branch is capped at
+    t_star, which u/gamma can top by an ulp at u = head, so Q is
+    nondecreasing on every double.
     """
     head = gamma * t_star
     if head >= 1.0:
@@ -156,30 +158,24 @@ def _linear_null_quantile(u: np.ndarray, gamma: float,
     out *= 1.0 - t_star
     out /= 1.0 - head
     out += t_star
-    return np.divide(u, max(gamma, 1e-300), out=out, where=u <= head)
+    below = u <= head
+    np.divide(u, max(gamma, 1e-300), out=out, where=below)
+    return np.minimum(out, t_star, out=out, where=below)
 
 
 def _uniform_cuts(crit: np.ndarray, gamma: float,
                   t_star: float) -> np.ndarray:
     """For each critical value c_k, the largest double U_k in [0, 1) with
     Q(U_k) <= c_k, Q the linear null quantile, by bisection on the
-    doubles' bit patterns with Q applied at every step.
-
-    Each branch of Q is nondecreasing, and Q stays at or below t_star
-    below head = gamma*t_star and at or above it above head.  Only
-    Q(head) can top the value just above it, by an ulp, so the search
-    reads head as passing when it or the next double passes: then
-    u <= U_k is Q(u) <= c_k for every u but head.
+    doubles' bit patterns with Q applied at every step.  Q is
+    nondecreasing, so u <= U_k is Q(u) <= c_k for every double u.
     """
-    head = np.float64(gamma * t_star).view(np.int64)
     lo = np.zeros(crit.size, np.int64)  # Q(0) = 0 passes
     hi = np.full(crit.size, np.float64(1.0).view(np.int64))
     while np.any(hi - lo > 1):
         mid = (lo + hi) // 2
         ok = _linear_null_quantile(mid.view(np.float64), gamma,
                                    t_star) <= crit
-        ok |= (mid == head) & (_linear_null_quantile(
-            (mid + 1).view(np.float64), gamma, t_star) <= crit)
         lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
     return lo.view(np.float64)
 
@@ -209,9 +205,7 @@ def restricted_fdr_check(spec: LinearNullSpec, alpha: float,
     largest doubles whose quantiles are at or below k*alpha/n
     (`_uniform_cuts`).  The n1 zeros fill ranks 1..n1, so R is n1 plus
     the last passing rank, and V = R - n1, as exactly R p-values lie at
-    or below R*alpha/n.  The quantile steps down by an ulp at most, at u = gamma*t_star; when a
-    critical value falls in that step, rows that hold this double step
-    up on their p-values.
+    or below R*alpha/n.
     """
     alpha = _check_alpha(alpha)
     replicates = _check_count(replicates, "replicates", 1)
@@ -241,10 +235,6 @@ def restricted_fdr_check(spec: LinearNullSpec, alpha: float,
     # Monte Carlo side
     crit = _critical(alpha, n)
     cuts = _uniform_cuts(crit, gamma, t_star)
-    head = gamma * t_star
-    # the seam: u = head can fail a rank that the doubles above it pass
-    seam = bool(np.any((head <= cuts) & (
-        _linear_null_quantile(np.array([head]), gamma, t_star) > crit)))
     rng = make_rng(seed, 811)
     chunk_sums = []
     chunk = max(1, min(200_000 // max(n, 1), replicates))
@@ -256,10 +246,6 @@ def restricted_fdr_check(spec: LinearNullSpec, alpha: float,
         # column-major, so that the step-up's max runs down the columns of
         # these short rows
         rn = n1 + _last_pass(np.less_equal(u, cuts[n1:], order="F"))
-        if seam:  # such rows step up on their p-values
-            rows = np.flatnonzero((u == head).any(axis=1))
-            p = np.sort(_linear_null_quantile(u[rows], gamma, t_star), axis=1)
-            rn[rows] = n1 + _last_pass(p <= crit[n1:])
         fdp = np.where((rn > 0) & (rn <= r), (rn - n1) / np.maximum(rn, 1),
                        0.0)
         chunk_sums.append(float(fdp.sum()))

@@ -242,21 +242,20 @@ def crossing_window(model: ModelSpec, alpha: float,
     return t_lower, alpha
 
 
-def _crossing_quantile(t: float, alpha: float, zeta: float) -> float:
-    """Phi_inv(q) for q = (1 - t/alpha)/zeta, inside the admissible window.
+def _crossing_quantile(p: float, pc: float) -> float:
+    """Phi_inv(1 - p) for t's place p = (t - t_lower)/(alpha*zeta) in the
+    window, given p and pc = 1 - p = (alpha - t)/(alpha*zeta) as each is
+    formed without cancellation.
 
-    q rounds to 1 within about one ulp of t_lower = alpha*(1-zeta), so
-    the smaller of q and 1 - q = (t - t_lower)/(alpha*zeta) is formed
-    directly and passed to the upper-tail quantile.  Outside the window
-    the value is inf at or below t_lower and -inf at or above alpha.
+    1 - p rounds to 1 within about one ulp of t_lower, so the smaller of
+    p and pc goes to the upper-tail quantile.  The value is inf for
+    p <= 0 (t at or below t_lower) and -inf for pc <= 0 (t >= alpha).
     """
-    p = (t - alpha * (1.0 - zeta)) / (alpha * zeta)
     if p <= 0.0:
         return math.inf
     if p <= 0.5:
         return sf.norm_isf(p)
-    p = (alpha - t) / (alpha * zeta)
-    return -sf.norm_isf(p) if p > 0.0 else -math.inf
+    return -sf.norm_isf(pc) if pc > 0.0 else -math.inf
 
 
 def z_of_t(model: ModelSpec, t: float, alpha: float, zeta: float) -> float:
@@ -272,19 +271,27 @@ def z_of_t(model: ModelSpec, t: float, alpha: float, zeta: float) -> float:
     if model.family != EXPONENTIAL:
         if not t_lower < t < t_upper:
             raise ValueError(f"t={t} outside ({t_lower}, {t_upper})")
-        x, u = _crossing_quantile(t, alpha, zeta), null_isf(model, t)
-        if model.family == NORMAL:
-            return math.sqrt(model.rho_bar / model.rho) * x \
-                - u / math.sqrt(model.rho)
-        return x / u
-    # exponential: solve (1-zeta) + zeta*2*exp(-z)*t = t/alpha on the
-    # linear stretch t <= 1/2
-    if not t_lower < t < t_upper or t > 0.5:
+    elif not t_lower < t < t_upper or t > 0.5:
         raise ValueError(f"t={t} outside the admissible exponential window")
-    arg = (t / alpha - (1.0 - zeta)) / (2.0 * zeta * t)
-    if not 0.0 < arg <= 1.0:
-        raise ValueError(f"t={t} has no disturbance solution with z >= 0")
-    return -math.log(arg)
+    return _z_of_fraction(model, t, (t - t_lower) / (alpha * zeta),
+                          (alpha - t) / (alpha * zeta))
+
+
+def _z_of_fraction(model: ModelSpec, t: float, p: float, pc: float) -> float:
+    """`z_of_t` from t and its (p, 1 - p) (`_crossing_quantile`),
+    unchecked, for callers that form p without forming t - t_lower."""
+    if model.family == EXPONENTIAL:
+        # (1-zeta) + zeta*2*exp(-z)*t = t/alpha on the linear stretch
+        # t <= 1/2, where t/alpha - (1-zeta) = zeta*p
+        arg = p / (2.0 * t)
+        if not 0.0 < arg <= 1.0:
+            raise ValueError(f"t={t} has no disturbance solution with z >= 0")
+        return -math.log(arg)
+    x, u = _crossing_quantile(p, pc), null_isf(model, t)
+    if model.family == NORMAL:
+        return math.sqrt(model.rho_bar / model.rho) * x \
+            - u / math.sqrt(model.rho)
+    return x / u
 
 
 # The crossing map on the null quantile u, where t = sf(u) is the upper
@@ -348,14 +355,15 @@ def crossing_at(model: ModelSpec, u: float, alpha: float,
             + _erfcx_ratio(u + d, u)
     if zeta < 1.0:
         t = null_sf(model, u)
-        x = _crossing_quantile(t, alpha, zeta)
+        x = _crossing_quantile((t - alpha * (1.0 - zeta)) / (alpha * zeta),
+                               (alpha - t) / (alpha * zeta))
     else:
         lsf = sf.norm_logsf(u) if model.family == NORMAL \
             else sf.t_logsf(u, model.nu)
         t = math.exp(lsf)
         lq = lsf - math.log(alpha)
         x = sf.norm_isf_log(lq) if lq < math.log(0.5) \
-            else _crossing_quantile(t, alpha, zeta)
+            else _crossing_quantile(t / alpha, (alpha - t) / alpha)
     if model.family == NORMAL:
         z = math.sqrt(model.rho_bar / rho) * x - u / math.sqrt(rho)
         if math.isinf(x):

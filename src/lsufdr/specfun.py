@@ -17,7 +17,7 @@ slower:
   These six agree with their scalar calls to 1e-13 relative rather than
   bit for bit.
 - The incomplete beta fraction run on all elements in lockstep behind
-  `t_sf`, `t_cdf`, `t_logsf`, `t_pdf` and `t_logpdf`.  These five are
+  `t_sf`, `t_cdf`, `t_pdf` and `t_logpdf`.  These four are
   exact: they repeat the scalar code's operations in numpy, whose
   + - * / round as Python's do, and map the standard library's
   transcendentals over the elements.
@@ -457,15 +457,17 @@ class SolverError(RuntimeError):
 
 
 def _solve_increasing(g, lo, hi, rtol, dens=None, x=None):
-    """Root of an increasing g with g(lo) < 0, bracketed from [lo, hi].
+    """Root of g with g(lo) < 0, bracketed from [lo, hi].
 
     Moves the bracket up while g(hi) < 0 (hi quadruples, to at least 1)
     and returns inf when g < 0 at the largest double.  With dens = g'
-    it takes Newton steps from the seed x; without, Illinois regula
-    falsi steps on the bracket (Dowell & Jarratt, BIT 11, 1971).  A step
-    that leaves the bracket is replaced by bisection, geometric while lo
-    is 0 so that a root far below hi takes a few steps.  Stops when a
-    step is below rtol relative; raises SolverError after 200 steps.
+    it takes Newton steps from the seed x, and g must be increasing;
+    without, Illinois regula falsi steps on the bracket (Dowell &
+    Jarratt, BIT 11, 1971), which need only one sign change in it.  A
+    step that leaves the bracket is replaced by bisection, geometric
+    while lo is 0 so that a root far below hi takes a few steps.  Stops
+    when a step is below rtol relative, a secant step that rounds onto
+    the bracket's end included; raises SolverError after 200 steps.
     """
     g_hi = g(hi)
     while g_hi < 0.0:
@@ -493,6 +495,9 @@ def _solve_increasing(g, lo, hi, rtol, dens=None, x=None):
             d = dens(x)
         x_new = x - gx / d if d > 0.0 else math.nan
         if not lo < x_new < hi:
+            if dens is None and d < math.inf and \
+                    abs(x_new - x) <= rtol * abs(x):
+                return x  # the secant rounds onto x's end of the bracket
             if lo == 0.0:  # sqrt(_FLOAT_MIN * hi), without underflow
                 x_new = min(_SQRT_FLOAT_MIN * math.sqrt(hi), 0.5 * hi)
             else:
@@ -654,23 +659,12 @@ def t_sf(x, nu: float):
 def t_logsf(x, nu: float):
     """log of the Student-t upper tail, stable far into the tail."""
     if not isinstance(x, (float, int)):
-        return _dispatch(x, lambda a: _t_logsf_array(a, _check_nu(nu)))
+        return _lift(t_logsf, x, nu)
     nu = _check_nu(nu)
     x = float(x)
     if not x > 0.0:  # nan too, which t_cdf returns
         return math.log(t_cdf(-x, nu))
     return _t_log_tail(x, nu)
-
-
-def _t_logsf_array(x, nu: float):
-    out = np.empty_like(x)
-    nonpositive = ~(x > 0.0)  # nan too, which _t_cdf_array returns
-    if nonpositive.any():
-        out[nonpositive] = _each(math.log, _t_cdf_array(-x[nonpositive], nu))
-    rest = ~nonpositive
-    if rest.any():
-        out[rest] = _t_log_tail_array(x[rest], nu)
-    return out
 
 
 def t_isf(q, nu: float):

@@ -16,7 +16,8 @@ from lsufdr.asymptotics import (
     t_of_z_normal,
 )
 from lsufdr.crossing import SolverError, crossing_report
-from lsufdr.models import ModelSpec, disturbance_cdf, gamma_at_zero, null_sf
+from lsufdr.models import ModelSpec, disturbance_cdf, f_infinity, \
+    gamma_at_zero, null_sf
 from lsufdr.quadrature import QuadratureError, integrate
 
 
@@ -399,13 +400,34 @@ class TestGDistributions:
         ModelSpec.normal(0.5), ModelSpec.student_t(8.0),
         ModelSpec.exponential()])
     def test_whole_domain(self, spec, which):
-        # 0 where t rounds to t_lower, 1 past the top of t(Z)'s range
+        # mass where t rounds to t_lower, 1 past the top of t(Z)'s range
         alpha, zeta = 0.05, 0.8
         us = [1e-17, *np.linspace(0.0, zeta, 81)[1:-1].tolist(),
               math.nextafter(zeta, 0.0)]
         vals = [g_distributions(spec, alpha, zeta, u, which) for u in us]
-        assert vals[0] == 0.0 and vals[-1] == 1.0
+        assert vals[0] > 0.0 and vals[-1] == 1.0
         assert all(0.0 <= a <= b <= 1.0 for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("u", [1e-17, 1e-16])
+    @pytest.mark.parametrize("spec, alpha, zeta", [
+        (ModelSpec.normal(0.692), 7.46e-4, 0.775),
+        (ModelSpec.student_t(7.45), 1.18e-4, 0.613),
+    ])
+    def test_tiny_u_against_draws(self, spec, alpha, zeta, u):
+        # t = alpha*(u + 1 - zeta) rounds to t_lower here, where the laws
+        # still hold mass; the draws are of V/n = zeta*F(t(Z) | Z) and the
+        # FDP, V/n times alpha/t(Z), which keep it
+        draws = 2 * 10 ** 4
+        rng = np.random.default_rng(9)
+        z = rng.standard_normal(draws) if spec.family == "normal" \
+            else np.sqrt(rng.chisquare(spec.nu, draws) / spec.nu)
+        t = t_of_z(spec, alpha, zeta, z)
+        v = zeta * f_infinity(spec, t, z)
+        for which, x in ((1, v), (2, v * alpha / t)):
+            ref = np.mean(x <= u)
+            se = math.sqrt(ref * (1.0 - ref) / draws)
+            assert abs(g_distributions(spec, alpha, zeta, u, which) - ref) \
+                <= 5.0 * se, which
 
     @pytest.mark.parametrize("spec, zeta, u, which", [
         # t = alpha*(u + 1 - zeta) is past t_upper = alpha*(1 - zeta/2)
@@ -418,6 +440,22 @@ class TestGDistributions:
     ])
     def test_one_past_range(self, spec, zeta, u, which):
         assert g_distributions(spec, 0.05, zeta, u, which) == 1.0
+
+    @pytest.mark.parametrize("which", [1, 2])
+    def test_exponential_just_below_top(self, which):
+        # a few ulps below the top of t(Z)'s range, t and its place in
+        # the window round apart; exp(-z) = p/(2t) could top 1 and raise
+        rng = np.random.default_rng(14)
+        spec = ModelSpec.exponential()
+        for alpha, zeta in zip(rng.uniform(0.001, 0.5, 300),
+                               rng.uniform(0.01, 0.99, 300)):
+            top = alpha * (1.0 - zeta) / (1.0 - 2.0 * alpha * zeta)
+            u = top / alpha - (1.0 - zeta) if which == 1 \
+                else 1.0 - alpha * (1.0 - zeta) / top
+            for _ in range(4):
+                u = math.nextafter(u, 0.0)
+                g = g_distributions(spec, alpha, zeta, u, which)
+                assert 1.0 - 1e-9 <= g <= 1.0, (alpha, zeta, u)
 
     @pytest.mark.parametrize("spec, alpha, zeta", [
         (ModelSpec.normal(0.5), 0.05, 1.0),

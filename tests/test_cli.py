@@ -267,6 +267,7 @@ class TestOptionsApply:
         ["curve", "--model", "normal", "--nu-grid", "2:5:2"],
         ["curve", "--model", "t", "--rho-grid", "0.2:0.3:2"],
         ["curve", "--model", "t", "--rho-grid", "0.2:0.3:0"],
+        ["curve", "--model", "normal", "--rho-grid", "0.1:0.5:-1"],
         ["curve", "--model", "normal", "--rho-grid", "0.2:0.3:2",
          "--nu-grid", "2:5:2"],
         ["curve", "--model", "exponential", "--rho-grid", "0.2:0.3:2"],

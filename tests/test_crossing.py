@@ -407,6 +407,14 @@ class TestSolverWork:
         assert not rep.has_tangent
         assert len(calls) <= 60
 
+    def test_report_with_tangent_is_cheap(self, monkeypatch):
+        # u1 is solved from the slope's minimizer; a solve for the dip's
+        # end before it made 74 calls here
+        calls = self.counting(monkeypatch)
+        rep = crossing_report(ModelSpec.normal(0.9), 0.05, 0.9)
+        assert rep.has_tangent
+        assert len(calls) <= 65
+
     def test_slope_never_negative_raises(self, monkeypatch):
         calls = self.counting(monkeypatch, lambda model, u, alpha, zeta:
                               (0.0, u, 1.0))

@@ -36,6 +36,10 @@ class TestExactFdrLinear:
         with pytest.raises(ValueError):
             LinearNullSpec(gamma=math.nan, n0=5, n=10, t_star=0.1)
 
+    def test_t_star_rejected(self):
+        with pytest.raises(ValueError, match="t_star"):
+            LinearNullSpec(1.0, 5, 10, 0.0)
+
     def test_requires_full_range(self):
         spec = LinearNullSpec(gamma=1.0, n0=5, n=5, t_star=0.05)
         with pytest.raises(ValueError):
@@ -88,6 +92,12 @@ class TestBoundaryNoncrossing:
     def test_unsorted_rejected(self):
         with pytest.raises(ValueError):
             BoundarySpec(m=3, lower_bounds=[0.4, 0.2])
+
+    def test_shape_rejected(self):
+        with pytest.raises(ValueError, match="m must"):
+            BoundarySpec(0, [])
+        with pytest.raises(ValueError, match="more bounds"):
+            BoundarySpec(1, [0.1, 0.2])
 
     def test_out_of_range_rejected(self):
         for bounds in ([-0.1, 0.2], [math.nan]):
@@ -325,8 +335,9 @@ class TestRestrictedBits:
 
     @pytest.mark.parametrize("gamma,t_star,alpha,n,seam", [
         (1.0, 0.1, 0.2, 10, False),
-        (0.4, 0.2, 0.3, 10, True),  # a seam that no critical value meets
-        (0.4, 0.2, 0.2, 10, True),  # c_10 = 0.2 lies in the seam
+        # u/gamma tops t_star by an ulp at head = 0.08, where Q is capped
+        (0.4, 0.2, 0.3, 10, False),
+        (0.4, 0.2, 0.2, 10, False),  # c_10 = 0.2 = Q(head)
         (5.0, 0.2, 0.2, 8, False),  # gamma * t_star = 1
         (0.0, 0.2, 0.25, 7, False),
     ])
@@ -341,24 +352,35 @@ class TestRestrictedBits:
         inner = cuts < np.nextafter(1.0, 0.0)  # else U_k is the top draw
         assert np.all(crit[inner] < q(np.nextafter(cuts[inner], 1.0)))
         assert inner.any()
-        # Q is nondecreasing but for its value at head, which can top the
-        # next double's by an ulp
+        # Q does not step down at head
         step = q([head, np.nextafter(head, 1.0)])
         assert (head < 1.0 and step[0] > step[1]) == seam
         near = np.concatenate([ulps_around(x) for x in (*cuts, head)])
         for c, cut in zip(crit, cuts):
-            agree = (q(near) <= c) == (near <= cut)
-            # only at head itself may the two disagree, and then the
-            # check routes the row through Q
-            assert np.all(agree | (near == head))
+            assert np.array_equal(q(near) <= c, near <= cut)
+
+    def test_quantile_nondecreasing_at_head(self):
+        # u/gamma alone tops t_star by an ulp at u = head on 133 of these
+        # pairs; the cap keeps Q nondecreasing across the branch change
+        rng = np.random.default_rng(22)
+        pairs = [(g, t) for g, t in zip(rng.uniform(0.0, 1.5, 2500),
+                                        rng.uniform(0.0, 1.0, 2500))
+                 if 0.0 < g * t < 1.0]
+        assert len(pairs) >= 2000
+        for gamma, t_star in pairs:
+            head = gamma * t_star
+            prev, at, nxt = _linear_null_quantile(
+                np.array([np.nextafter(head, 0.0), head,
+                          np.nextafter(head, 1.0)]), gamma, t_star)
+            assert prev <= at <= t_star <= nxt, (gamma, t_star)
 
     def test_seam_rows_step_up_on_pvalues(self, monkeypatch):
-        # rows holding u = head, where Q(head) = 0.2 + ulp fails c_10 = 0.2
-        # that the doubles above head pass, must reject 9, not 10
+        # rows holding u = head, where u/gamma = 0.2 + ulp but Q is capped
+        # at t_star = 0.2 = c_10, reject 10 on both routes
         spec, alpha = LinearNullSpec(0.4, 8, 10, 0.2), 0.2
         head = spec.gamma * spec.t_star
         q_head = _linear_null_quantile(np.array([head]), 0.4, 0.2)[0]
-        assert q_head > 0.2 >= _linear_null_quantile(
+        assert q_head == 0.2 >= _linear_null_quantile(
             np.array([np.nextafter(head, 1.0)]), 0.4, 0.2)[0]
         # nulls at 0.9 of their ranks' critical values, the largest at head
         row = np.append(0.4 * 0.9 * _critical(alpha, 10)[2:9], head)

@@ -46,6 +46,17 @@ class TestSpecValidation:
         spec = ModelSpec.exponential()
         assert spec.rho is None and spec.nu is None
 
+    def test_false_theta_checked(self):
+        # a positive shift of the alternatives, for the exponential family
+        with pytest.raises(ValueError, match="positive"):
+            ModelSpec.exponential(false_theta=0.0)
+        with pytest.raises(ValueError, match="exponential"):
+            ModelSpec("normal", rho=0.5, false_theta=1.0)
+
+    def test_config_zeta_range(self):
+        with pytest.raises(ValueError, match="zeta"):
+            ExtremeConfig(10, 1.5, 0)
+
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             ModelSpec(family="gamma")

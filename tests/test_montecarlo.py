@@ -111,6 +111,11 @@ class TestRun:
             assert np.array_equal(a.fdp_histogram, b.fdp_histogram)
             assert a.standard_errors == b.standard_errors
 
+    def test_worker_count_must_be_an_integer(self, monkeypatch):
+        monkeypatch.setenv("LSUFDR_WORKERS", "two")
+        with pytest.raises(ValueError, match="LSUFDR_WORKERS"):
+            montecarlo.worker_count()
+
     def test_ene_consistent_with_eer(self):
         s = run(EXPO_PLAN, workers=1)
         assert s.ene_hat == pytest.approx(s.eer_hat * 50, rel=1e-12)

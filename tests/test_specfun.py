@@ -334,6 +334,10 @@ class TestChi:
         with pytest.raises(ValueError):
             sf.chi_cdf(-0.1, 3.0)
 
+    def test_quantile_domain(self):
+        with pytest.raises(ValueError):
+            sf.chi_quantile(1.0, 3.0)
+
     def test_cdf_past_the_double_range(self):
         # x*x/2 overflows to inf there
         for x in (1e200, math.inf):
@@ -389,6 +393,15 @@ class TestSolveIncreasing:
         x = sf._solve_increasing(g, 0.5, 4.0, 1e-14)
         assert x == pytest.approx(math.log(5.0), rel=1e-14)
         assert len(calls) <= 20
+
+    def test_secant_onto_the_bracket_end_stops(self):
+        # the secant lands within rounding of the root, and the next one
+        # rounds onto that end of the bracket; bisecting on from there
+        # took 26 calls
+        g, calls = self.counted(lambda x: 12.0 * x * x - 1.0)
+        x = sf._solve_increasing(g, 0.001, 1.0, 1e-14)
+        assert x == pytest.approx(1.0 / math.sqrt(12.0), rel=1e-15)
+        assert len(calls) <= 15
 
     def test_newton_with_derivative(self):
         x = sf._solve_increasing(lambda x: x ** 3 - 10.0, 0.0, 4.0, 1e-13,
@@ -452,6 +465,11 @@ class TestErfFamily:
             ref = math.erfc(x)
             if ref > 0.0:
                 assert abs(sf.erfc(x) - ref) <= 8e-15 * ref
+
+    def test_erfcx_overflows_to_inf(self):
+        # erfcx(x) = 2 exp(x^2) - erfcx(-x), and exp(27^2) tops the
+        # double range
+        assert sf.erfcx(-27.0) == math.inf
 
     def test_erfcx_large(self):
         # asymptotic: erfcx(x) ~ 1/(x sqrt(pi))
