@@ -18,8 +18,8 @@ import numpy as np
 from . import specfun as sf
 from .crossing import SolverError, crossing_report
 from .models import EXPONENTIAL, NORMAL, ModelSpec, _check_alpha_zeta, \
-    _check_z, _z_of_fraction, crossing_at, crossing_window, \
-    disturbance_cdf, gamma_at_zero, null_pdf, null_sf
+    _check_z, _disturbance_law, _z_of_fraction, crossing_at, \
+    crossing_window, disturbance_cdf, gamma_at_zero, null_pdf, null_sf
 # z_of_t stays bound here: perfbench/tracing.py wraps it
 from .models import z_of_t  # noqa: F401
 from .quadrature import integrate
@@ -337,8 +337,8 @@ def g_distributions(model: ModelSpec, alpha: float, zeta: float,
         rep = crossing_report(model, alpha, zeta)
         if rep.has_tangent and rep.t1 < t < rep.t2:
             # no largest crossing lies in the gap: t(Z) <= t iff Z >= z*
-            return 1.0 - disturbance_cdf(model, rep.z_at_tangent)
-    return 1.0 - disturbance_cdf(model, _z_of_fraction(model, t, p, pc))
+            return _disturbance_law(model, rep.z_at_tangent, True)
+    return _disturbance_law(model, _z_of_fraction(model, t, p, pc), True)
 
 
 # ---------------------------------------------------------------------------

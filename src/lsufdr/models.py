@@ -380,16 +380,24 @@ def crossing_at(model: ModelSpec, u: float, alpha: float,
 
 def disturbance_cdf(model: ModelSpec, z: float) -> float:
     """Cdf W_Z of the disturbance variable at z, 0 below its support."""
+    return _disturbance_law(model, z, False)
+
+
+def _disturbance_law(model: ModelSpec, z: float, upper: bool) -> float:
+    """W_Z(z), or with upper P(Z > z) formed directly: 1 - W_Z(z) keeps
+    only 1e-16 absolute where the tail is small."""
     if model.family == NORMAL:
-        return sf.Phi(_check_z(model, z))
+        return (sf.norm_sf if upper else sf.Phi)(_check_z(model, z))
     z = float(z)
     if z <= 0.0:
-        return 0.0
+        return float(upper)
     z = _check_z(model, z)
     if model.family == STUDENT_T:
         # S = chi_nu variate / sqrt(nu), so P(S <= s) = F_chi(sqrt(nu) s)
-        return sf.chi_cdf(math.sqrt(model.nu) * z, model.nu)
-    return -math.expm1(-z)
+        x = math.sqrt(model.nu) * z
+        return sf._chi_pq(x, model.nu, True) if upper \
+            else sf.chi_cdf(x, model.nu)
+    return math.exp(-z) if upper else -math.expm1(-z)
 
 
 # ---------------------------------------------------------------------------

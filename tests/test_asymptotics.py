@@ -16,8 +16,8 @@ from lsufdr.asymptotics import (
     t_of_z_normal,
 )
 from lsufdr.crossing import SolverError, crossing_report
-from lsufdr.models import ModelSpec, disturbance_cdf, f_infinity, \
-    gamma_at_zero, null_sf
+from lsufdr.models import ModelSpec, _z_of_fraction, disturbance_cdf, \
+    f_infinity, gamma_at_zero, null_sf
 from lsufdr.quadrature import QuadratureError, integrate
 
 
@@ -456,6 +456,30 @@ class TestGDistributions:
                 u = math.nextafter(u, 0.0)
                 g = g_distributions(spec, alpha, zeta, u, which)
                 assert 1.0 - 1e-9 <= g <= 1.0, (alpha, zeta, u)
+
+    def test_small_tail_kept(self):
+        # G = P(Z > z) is formed directly, not as 1 - W(z), which kept
+        # only 1e-16 absolute: 6.66e-16 here for the exponential family,
+        # whose G is exp(-z) = p/(2t)
+        alpha, zeta, u = 0.05, 0.8, 1e-17
+        t, p = alpha * (u + 1.0 - zeta), u / zeta
+        g = g_distributions(ModelSpec.exponential(), alpha, zeta, u, 1)
+        assert g == pytest.approx(p / (2.0 * t), rel=1e-14)
+        spec = ModelSpec.normal(0.5)
+        z = _z_of_fraction(spec, t, p, (zeta - u) / zeta)
+        assert g_distributions(spec, alpha, zeta, u, 1) == sf.norm_sf(z)
+
+    def test_student_t_tail_against_chi(self):
+        # the t family's G is the chi upper tail Q(nu/2, nu z^2/2)
+        mpmath = pytest.importorskip("mpmath")
+        spec, alpha, zeta, u = ModelSpec.student_t(8.0), 0.05, 0.8, 1e-17
+        t, p = alpha * (u + 1.0 - zeta), u / zeta
+        z = _z_of_fraction(spec, t, p, (zeta - u) / zeta)
+        with mpmath.workdps(40):
+            ref = mpmath.gammainc(4, 4 * mpmath.mpf(z) ** 2, mpmath.inf,
+                                  regularized=True)
+        assert g_distributions(spec, alpha, zeta, u, 1) == \
+            pytest.approx(float(ref), rel=1e-13)
 
     @pytest.mark.parametrize("spec, alpha, zeta", [
         (ModelSpec.normal(0.5), 0.05, 1.0),

@@ -244,6 +244,44 @@ class TestStudentTMpmathOracle:
                     assert abs(tail / q - 1.0) < self.ISF_RTOL, (nu, q, x)
 
 
+class TestStudentTQuantileLogTail:
+    """`t_isf` solves on the log tail from the power law's root."""
+
+    @pytest.mark.parametrize("q, nu", [(1e-300, 1000.0), (1e-300, 300.0),
+                                       (1e-200, 157.3)])
+    def test_far_tail_at_moderate_nu(self, mp, q, nu):
+        # Newton on q - t_sf crawled here and ran out of steps
+        x = sf.t_isf(q, nu)
+        log_tail = TestLargeNu.t_log_tail(mp, x, nu)
+        assert abs(mp.exp(log_tail) / q - 1) < 1e-12
+
+    def test_heavy_tail_takes_few_evaluations(self, monkeypatch):
+        # the bracket used to grow 4x per call from the normal quantile:
+        # 541 t_sf calls to reach 3.2e299
+        calls = []
+        tail = sf._t_log_tail
+
+        def counted(x, nu):
+            calls.append(x)
+            return tail(x, nu)
+
+        monkeypatch.setattr(sf, "_t_log_tail", counted)
+        x = sf.t_isf(1e-300, 1.0)
+        assert x == pytest.approx(1.0 / (math.pi * 1e-300), rel=1e-13)
+        assert len(calls) < 10
+
+    def test_calls_over_a_grid(self, monkeypatch):
+        calls = []
+        tail = sf._t_log_tail
+        monkeypatch.setattr(sf, "_t_log_tail",
+                            lambda x, nu: calls.append(x) or tail(x, nu))
+        for nu in (0.3, 1.0, 5.0, 30.0, 157.3, 1e3, 1e5, 1e7):
+            for q in (0.4, 1e-3, 1e-20, 1e-100, 1e-300):
+                calls.clear()
+                sf.t_isf(q, nu)
+                assert len(calls) <= 8, (nu, q)
+
+
 class TestStudentTKernels:
     """The array t functions run numpy kernels, which must give the bits
     of the scalar calls: numpy's + - * / round as Python's do, and the
@@ -646,11 +684,9 @@ class TestMpmathOracle:
                -701.0, -1e3, -1e4, -3e6, -1e10]
         assert worst_rel_error(sf.norm_isf_log, lqs, ref) < 3e-15
 
-    # the exponent of the series prefactor grows like nu log nu, and
-    # with it the rounding error
+    # nu = 1e4 is in TestLargeNu
     @pytest.mark.parametrize("nu, rtol", [(0.5, 5e-14), (1.0, 5e-14),
-                                          (3.0, 5e-14), (40.0, 5e-14),
-                                          (1e4, 1e-11)])
+                                          (3.0, 5e-14), (40.0, 5e-14)])
     def test_chi_cdf(self, mp, nu, rtol):
         def ref(x):
             return mp.gammainc(nu / 2, 0, mp.mpf(x) ** 2 / 2,
@@ -682,12 +718,12 @@ class TestMpmathOracle:
         def ref(p):
             return self.mp_chi_quantile(mp, p, nu)
 
-        ps = [1e-20, 1e-8, 1e-3, 0.05, 0.3, 0.5, 0.7, 0.95, 0.999]
+        # above p = 1/2 the solve is on the tail mass 1 - p, so the
+        # quantile keeps its accuracy near p = 1 (it lost 8e-7 at
+        # 1 - 1e-12 when solved on the cdf)
+        ps = [1e-20, 1e-8, 1e-3, 0.05, 0.3, 0.5, 0.7, 0.95, 0.999,
+              1.0 - 1e-8, 1.0 - 1e-12]
         assert worst_rel_error(sf.chi_quantile, ps, ref, nu) < 5e-14
-        # near p = 1 the solve in cdf space inherits the 1e-16 absolute
-        # error of the cdf, divided by the small tail mass
-        ps = [1.0 - 1e-8, 1.0 - 1e-12]
-        assert worst_rel_error(sf.chi_quantile, ps, ref, nu) < 1e-6
 
     def test_chi_quantile_far_lower_tail(self, mp):
         ref = self.mp_chi_quantile(mp, 1e-100, 0.5)
@@ -732,3 +768,162 @@ class TestMpmathOracle:
         assert mp.gammainc(mp.mpf(nu) / 2, 0, tiny * tiny / 2,
                            regularized=True) > p
         assert sf.chi_quantile(p, nu) == 0.0
+
+
+def temme_coefficients(rows, terms):
+    """d_kn of Temme's c_k(eta) = sum_n d_kn eta^n, in exact rationals.
+
+    mu(eta) solves mu - log(1 + mu) = eta^2/2, so mu mu' = eta (1 + mu);
+    c_0 = 1/mu - 1/eta and c_k = c_(k-1)'/eta + (-1)^k g_k/mu (DLMF
+    8.12.9-11), with g_k the Stirling coefficients of Gamma (DLMF 5.11.3).
+    """
+    from fractions import Fraction as F
+
+    g = [F(1), F(1, 12), F(1, 288), F(-139, 51840), F(-571, 2488320),
+         F(163879, 209018880), F(5246819, 75246796800)]
+    size = terms + 2 * rows + 2
+    a = [F(0), F(1)]  # mu = sum a_m eta^m
+    for m in range(2, size + 2):
+        a.append((a[m - 1] - sum((m + 1 - i) * a[i] * a[m + 1 - i]
+                                 for i in range(2, m))) / (m + 1))
+    r = [F(1)]  # 1/mu = sum r_n eta^(n - 1)
+    for n in range(1, size + 1):
+        r.append(-sum(a[j + 1] * r[n - j] for j in range(1, n + 1)))
+    c = r[1:]
+    table = [c]
+    for k in range(1, rows):
+        sign_g = (-1) ** k * g[k]
+        assert c[1] + sign_g == 0  # the poles at eta = 0 cancel
+        c = [(n + 2) * c[n + 2] + sign_g * r[n + 1]
+             for n in range(len(c) - 2)]
+        table.append(c)
+    return table
+
+
+class TestLargeNu:
+    """`chi_cdf`, the chi upper tail and the t tail at large nu against
+    mpmath, inside and outside the expansions' regions and one ulp either
+    side of each cut-over.
+
+    The bound is 1e-13 relative, and 1e-15 per unit of |log(value)| in
+    tails below exp(-100): such a tail is exp(-y) of a rounded y, and the
+    rounding of y alone costs about y ulps.
+    """
+
+    NUS = (1e3, 1e4, 1e5, 1e6, 1e7)
+
+    @staticmethod
+    def bound(ref):
+        return max(1e-13, 1e-15 * abs(float(ref)))
+
+    def test_temme_table_from_the_recurrence(self):
+        rows = temme_coefficients(len(sf._TEMME_C), 20)
+        for row, exact in zip(sf._TEMME_C, rows):
+            assert list(row) == [float(d) for d in exact[:len(row)]]
+
+    @staticmethod
+    def chi_ref(mp, x, nu):
+        # (log P, log Q), each by the mpmath route that converges there
+        a, h = mp.mpf(nu) / 2, mp.mpf(x) ** 2 / 2
+        if h < a:
+            p = mp.gammainc(a, 0, h, regularized=True)
+            return mp.log(p), mp.log1p(-p)
+        q = mp.gammainc(a, h, mp.inf, regularized=True)
+        return mp.log1p(-q), mp.log(q)
+
+    @classmethod
+    def chi_points(cls, mp, nu):
+        root = math.sqrt(nu)
+        # the edges of Temme's region, eta^2/2 = mu - log(1 + mu) = 1/8
+        edges = [root * math.sqrt(1.0 + float(mp.findroot(
+            lambda m: m - mp.log1p(m) - sf._TEMME_PHI, m0)))
+            for m0 in (-0.43, 0.55)]
+        xs = [math.nextafter(e, d) for e in edges for d in (0.0, math.inf)]
+        return xs + (root * np.concatenate([
+            np.linspace(0.02, 4.0, 60), np.linspace(0.97, 1.03, 13),
+            [0.5, 0.7, 1.3, 1.6, 2.0]])).tolist() + [
+                1e-150, 1e-10, 1e-3, 1e3, 1e200, math.inf]
+
+    def check_chi(self, mp, nu, xs):
+        skipped = 0
+        for x in xs:
+            if x == math.inf:
+                assert sf.chi_cdf(x, nu) == 1.0
+                assert sf._chi_pq(x, nu, True) == 0.0
+                continue
+            try:
+                log_p, log_q = self.chi_ref(mp, x, nu)
+            except mp.NoConvergence:
+                skipped += 1
+                continue
+            for got, log_ref in ((sf.chi_cdf(x, nu), log_p),
+                                 (sf._chi_pq(x, nu, True), log_q)):
+                if log_ref > -690.0:
+                    assert abs(got / mp.exp(log_ref) - 1) \
+                        <= self.bound(log_ref), (nu, x)
+        return skipped
+
+    @pytest.mark.parametrize("nu", NUS)
+    def test_chi(self, mp, nu):
+        xs = self.chi_points(mp, nu)
+        assert self.check_chi(mp, nu, xs) <= len(xs) // 20
+
+    def test_chi_either_side_of_temme_a(self, mp):
+        nu = 2.0 * sf._TEMME_A
+        for v in (math.nextafter(nu, 0.0), nu):
+            xs = self.chi_points(mp, v)
+            assert self.check_chi(mp, v, xs) <= len(xs) // 20
+
+    @staticmethod
+    def t_log_tail(mp, x, nu):
+        # log P(T > x) for x > 0, from 2F1 series: in w = nu/(nu + x^2)
+        # far out, else 1 - I_y(1/2, nu/2) with the digits its
+        # cancellation needs, about x^2/2 nats
+        y = x * x / (nu + x * x)
+        with mp.workdps(40 if y > 0.25 else 40 + int(x * x / 4.6)):
+            n, xm = mp.mpf(nu), mp.mpf(x)
+            a, b = n / 2, mp.mpf(1) / 2
+            w, y = n / (n + xm * xm), xm * xm / (n + xm * xm)
+            log_beta = mp.loggamma(a) + mp.loggamma(b) - mp.loggamma(a + b)
+            if y > 0.25:
+                return +(a * mp.log(w) + b * mp.log(y) - log_beta
+                         - mp.log(2 * a)
+                         + mp.log(mp.hyp2f1(a + b, 1, a + 1, w)))
+            inner = mp.exp(b * mp.log(y) + a * mp.log(w) - log_beta) / b \
+                * mp.hyp2f1(a + b, 1, b + 1, y)
+            return +mp.log((1 - inner) / 2)
+
+    def check_t(self, mp, nu, xs):
+        for x in xs:
+            log_ref = self.t_log_tail(mp, x, nu)
+            assert abs(sf.t_logsf(x, nu) / log_ref - 1) < 1e-13, (nu, x)
+            upper = mp.exp(log_ref)
+            lower = 1 - upper
+            # log(1 - upper) rounds to 0 once upper is below 1e-16
+            assert abs(sf.t_logsf(-x, nu) - mp.log1p(-upper)) \
+                <= 1e-16 + 1e-13 * upper, (nu, x)
+            assert abs(sf.t_sf(-x, nu) / lower - 1) <= 1e-13, (nu, x)
+            if log_ref > -690.0:
+                for got in (sf.t_sf(x, nu), sf.t_cdf(-x, nu),
+                            float(sf.t_sf(np.array([x]), nu)[0])):
+                    assert abs(got / upper - 1) <= self.bound(log_ref), \
+                        (nu, x)
+
+    @classmethod
+    def t_points(cls, nu):
+        a = 0.5 * nu
+        # BGRAT's edges: x^2/2 ~ z = 1/2, and 1 - w = 0.3
+        edges = [math.sqrt(nu * math.expm1(0.5 / (a - 0.25))),
+                 math.sqrt(nu * 0.3 / 0.7)]
+        xs = [math.nextafter(e, d) for e in edges for d in (0.0, math.inf)]
+        return xs + [1e-3, 0.3, 0.7, 1.5, 2.0, 3.0, 5.0, 8.0, 15.0, 25.0,
+                     38.0, 0.9 * math.sqrt(nu), 3.0 * math.sqrt(nu), 1e10]
+
+    @pytest.mark.parametrize("nu", NUS)
+    def test_t(self, mp, nu):
+        self.check_t(mp, nu, self.t_points(nu))
+
+    def test_t_either_side_of_bgrat_a(self, mp):
+        nu = 2.0 * sf._BGRAT_A
+        for v in (math.nextafter(nu, 0.0), nu):
+            self.check_t(mp, v, self.t_points(v))
