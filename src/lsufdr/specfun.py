@@ -725,8 +725,9 @@ def t_isf(q, nu: float):
 
     Newton's method on the log of the smaller tail mass, whose slope is
     the hazard pdf/sf, to 1e-13 relative in x, so both tails stay
-    accurate (the tail at the result is within 1e-12 of q down to
-    q = 1e-300); inf past the largest double.  The root lies between
+    accurate (the tail at the result is within 3e-13 of q for nu from
+    0.3 to 1e7 and q down to 1e-300); inf past the largest double.
+    The root lies between
     the normal quantile and the power law's, P(T > x) < c x^-nu with
     c = Gamma((nu + 1)/2) nu^(nu/2 - 1) / (sqrt(pi) Gamma(nu/2)).
     """
