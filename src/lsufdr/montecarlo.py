@@ -43,8 +43,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .models import ExtremeConfig, ModelSpec, make_rng, _assemble, \
-    _check_count, _check_z, _disturbance_quantile, _rekey, _sample_block, \
-    _substream_keys, _uniform_count, f_infinity_mixed
+    _check_count, _check_z, _disturbance_quantile, _null_cdf, _rekey, \
+    _sample_block, _substream_keys, _uniform_count, f_infinity
 from .stepup import _check_alpha, _stepdown_count, _stepup_count
 # lsu and lsd stay bound here: perfbench/tracing.py wraps them
 from .stepup import lsd, lsu  # noqa: F401
@@ -241,7 +241,8 @@ def convergence_study(plan: SimulationPlan, n_grid) -> list[ConvergenceRow]:
 
     In conditional mode each row also carries the median (over
     replicates) of the sup distance between the empirical p-value cdf
-    and its limit on a thousand-point grid.
+    and its limit at t = k/1000 < 1, where false nulls count as zeros
+    or, if shifted, as nulls at z - false_theta.
     """
     rows = []
     for n in n_grid:
@@ -250,15 +251,16 @@ def convergence_study(plan: SimulationPlan, n_grid) -> list[ConvergenceRow]:
         supdist = None
         if plan.conditional_z is not None and cfg.zeta > 0.0:
             z = float(plan.conditional_z)
-            tgrid = np.linspace(0.0, 1.0, 1001)
-            limit = f_infinity_mixed(plan.model, tgrid, z, cfg.zeta_n) \
-                if cfg.zeta_n > 0.0 else np.ones_like(tgrid)
+            tgrid = np.linspace(0.0, 1.0, 1001)[:-1]  # both cdfs are 1 at 1
+            falses = 1.0 if plan.model.false_theta is None else _null_cdf(
+                plan.model, tgrid, z - plan.model.false_theta)
+            limit = (cfg.n0 * f_infinity(plan.model, tgrid, z)
+                     + cfg.n1 * falses) / cfg.n
             dists = []
             rng = make_rng(cfg.seed)  # rekeyed before every replicate
             for key in _substream_keys(cfg.seed, range(plan.replicates)):
                 _rekey(rng, key)
-                sample = _assemble(plan.model, cfg, z, rng)
-                ps = np.sort(sample.pvalues)
+                ps = np.sort(_assemble(plan.model, cfg, z, rng).pvalues)
                 emp = np.searchsorted(ps, tgrid, side="right") / cfg.n
                 dists.append(float(np.max(np.abs(emp - limit))))
             supdist = float(np.median(dists))

@@ -9,7 +9,8 @@ DiDonato & Morris's BGRAT near its center and the chi cdf Temme's
 uniform expansion, whose cost does not grow with nu; against mpmath
 both stay within 1e-13 relative up to nu = 1e7, and within 1e-15 per
 unit of |log(value)| in tails below exp(-100).  The functions keep no
-global state.
+global state.  Roots come from `_solve_increasing`, bad input raises
+ValueError, and an iteration out of steps raises SolverError.
 
 Arrays: the first argument may be anything `np.asarray` takes; the
 result is a float64 array of its shape, equal element by element to the
@@ -89,6 +90,10 @@ def _each(fn, a, *args):
 def _lift(fn, x, *args):
     """fn(v, *args) for every element v of the array x."""
     return _dispatch(x, lambda a: _each(fn, a, *args))
+
+
+class SolverError(RuntimeError):
+    """Raised when a root solve, series or fraction runs out of steps."""
 
 
 # ---------------------------------------------------------------------------
@@ -337,9 +342,12 @@ def norm_isf_log(lq):
     """Upper-tail normal quantile from the log tail mass.
 
     Solves norm_logsf(x) = lq for x, valid for lq <= log(1/2) even when
-    exp(lq) underflows: AS241's rationals in 1/2 - exp(lq), formed by
-    expm1, and in sqrt(-lq), polished below -700.  The relative error is
-    below 1e-15 for lq <= -0.6932; nearer log(1/2), where x nears 0, the
+    exp(lq) underflows, and inf at lq = -inf: AS241's rationals in
+    1/2 - exp(lq), formed by expm1, and in sqrt(-lq) down to lq = -700;
+    below, Newton steps on lq - norm_logsf(x), convex and increasing,
+    from sqrt(-2 lq), which 1 - Phi(x) <= exp(-x^2/2)/2 puts above the
+    root (at most 6 tail evaluations).  The relative error is below
+    1e-15 for lq <= -0.6932; nearer log(1/2), where x nears 0, the
     rounding of log 2 grows it (2e-13 at lq = -0.69314718056).
     """
     if not isinstance(lq, (float, int)):
@@ -349,22 +357,15 @@ def norm_isf_log(lq):
     if lq >= math.log(0.075):
         d = -0.5 * math.expm1((lq + _LN2_HI) + _LN2_LO)
         return _as241(0, 0.180625 - d * d, d)
-    r = math.sqrt(-lq)
-    x = _as241(1, r - 1.6) if r <= 5.0 else _as241(2, r - 5.0)
     if lq >= -700.0:
-        return x
-    # Past r = 27 the rational falls ever further below the root, and past
-    # r = 1e45 it is inf or nan: min then takes sqrt(2) r, above the root.
-    # Newton on norm_logsf in x^2, where it is nearly linear, converges
-    # from either; d/dx log(1-Phi(x)) = -1/mills(x).
-    x = min(_SQRT2 * r, x)
-    for _ in range(60):
-        mills = 0.5 * _SQRT_2PI * erfcx(x / _SQRT2)
-        step = (norm_logsf(x) - lq) * mills
-        x = x * math.sqrt(1.0 + 2.0 * step / x)
-        if abs(step) < 1e-14 * max(1.0, abs(x)):
-            break
-    return x
+        r = math.sqrt(-lq)
+        return _as241(1, r - 1.6) if r <= 5.0 else _as241(2, r - 5.0)
+    if lq == -math.inf:
+        return math.inf
+    h = _SQRT2 * math.sqrt(-lq)  # -2 lq overflows at the bottom
+    return _solve_increasing(lambda v: lq - norm_logsf(v), 0.0, h, 1e-15,
+                             lambda v: 2.0 / (_SQRT_2PI * erfcx(v / _SQRT2)),
+                             h)
 
 
 # ---------------------------------------------------------------------------
@@ -411,8 +412,8 @@ def _betacf(a: float, b: float, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < _BETA_EPS:
             return h
-    raise RuntimeError(f"incomplete beta cf failed to converge "
-                       f"(a={a}, b={b}, x={x})")
+    raise SolverError(f"incomplete beta cf failed to converge "
+                      f"(a={a}, b={b}, x={x})")
 
 
 def _clamp_fpmin(v):
@@ -448,8 +449,8 @@ def _betacf_array(a: float, b: float, x):
             idx, x, c, d, h = idx[keep], x[keep], c[keep], d[keep], h[keep]
             if not idx.size:
                 return out
-    raise RuntimeError(f"incomplete beta cf failed to converge "
-                       f"(a={a}, b={b}, x={x[0]})")
+    raise SolverError(f"incomplete beta cf failed to converge "
+                      f"(a={a}, b={b}, x={x[0]})")
 
 
 def _check_nu(nu: float) -> float:
@@ -457,10 +458,6 @@ def _check_nu(nu: float) -> float:
     if not nu > 0.0:
         raise ValueError("degrees of freedom must be positive")
     return nu
-
-
-class SolverError(RuntimeError):
-    """Raised when a root solve fails; the message carries diagnostics."""
 
 
 def _solve_increasing(g, lo, hi, rtol, dens=None, x=None):
@@ -619,7 +616,7 @@ def _bgrat(a: float, z: float, log_w: float) -> float:
         if abs(d[-1] * j) <= _BETA_EPS * total:
             return (_log_gamma_ratio(a) - 0.5 * math.log1p(-0.25 / a) - z
                     + math.log(0.5 * ex * total))
-    raise RuntimeError(f"BGRAT failed to converge (a={a}, z={z})")
+    raise SolverError(f"BGRAT failed to converge (a={a}, z={z})")
 
 
 def _t_log_tail(x: float, nu: float) -> float:
@@ -835,7 +832,7 @@ def _gser(a: float, x: float) -> float:
         s += delta
         if abs(delta) < abs(s) * _GAM_EPS:
             return s
-    raise RuntimeError(f"incomplete gamma series failed (a={a}, x={x})")
+    raise SolverError(f"incomplete gamma series failed (a={a}, x={x})")
 
 
 def _gcf(a: float, x: float) -> float:
@@ -859,7 +856,7 @@ def _gcf(a: float, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < _GAM_EPS:
             return h
-    raise RuntimeError(f"incomplete gamma cf failed (a={a}, x={x})")
+    raise SolverError(f"incomplete gamma cf failed (a={a}, x={x})")
 
 
 def _chi_pq(x: float, nu: float, upper: bool) -> float:
@@ -875,7 +872,7 @@ def _chi_pq(x: float, nu: float, upper: bool) -> float:
     """
     nu = _check_nu(nu)
     x = float(x)
-    if x < 0.0:
+    if not x >= 0.0:  # nan too, before a series runs on it
         raise ValueError("chi_cdf requires x >= 0")
     a, h = 0.5 * nu, 0.5 * x * x
     if x == 0.0 or h == math.inf:

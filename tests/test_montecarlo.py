@@ -208,6 +208,17 @@ class TestConvergenceStudy:
         assert rows[-1].sup_distance < rows[0].sup_distance
         assert rows[-1].sup_distance < 0.02
 
+    def test_shifted_alternatives_converge(self):
+        # the shifted false nulls follow the null law at z - false_theta;
+        # measured against a point mass at 0, the distance stayed 0.5
+        plan = SimulationPlan(model=ModelSpec.exponential(false_theta=1.0),
+                              config=ExtremeConfig(n=10, zeta=0.5, seed=5),
+                              alpha=0.1, replicates=20, conditional_z=0.5)
+        dists = [r.sup_distance
+                 for r in convergence_study(plan, [1000, 10000, 100000])]
+        assert dists[0] > dists[1] > dists[2]
+        assert dists[2] < 0.02
+
     def test_unconditional_has_no_supdist(self):
         plan = SimulationPlan(model=ModelSpec.exponential(),
                               config=ExtremeConfig(n=10, zeta=0.5, seed=3),

@@ -770,6 +770,87 @@ class TestMpmathOracle:
         assert sf.chi_quantile(p, nu) == 0.0
 
 
+# log tail masses for the norm_isf_log sweep: log-uniform from just below
+# log(1/2) to -1e300, the switch to the solve at -700 and its neighbours,
+# and the most negative double
+_ISF_LOG_SWEEP = sorted(
+    [-float(v) for v in np.exp(np.random.default_rng(24).uniform(
+        math.log(0.6932), math.log(1e300), 40))]
+    + [-700.0, math.nextafter(-700.0, 0.0),
+       math.nextafter(-700.0, -math.inf), -sys.float_info.max],
+    reverse=True)
+
+
+class TestNormIsfLogSweep:
+    """`norm_isf_log` to 1e-15 relative against a 60-digit root.  Past
+    x = 1e59 mpmath's secant cannot start (its two starting points round
+    together at 60 digits); there the log tail at the result must be
+    within 2 ulps of lq."""
+
+    @pytest.mark.parametrize("lq", _ISF_LOG_SWEEP)
+    def test_root(self, mp, lq):
+        x = sf.norm_isf_log(lq)
+        with mp.workdps(60):
+            try:
+                root = _mp_root(mp, lambda t: mp.log(mp.ncdf(-t)), lq, x)
+            except (ValueError, ZeroDivisionError):
+                root = None
+            if root is not None:
+                assert abs(x / root - 1) < 1e-15
+                return
+        assert abs(sf.norm_logsf(x) - lq) <= 2.0 * math.ulp(lq)
+
+    def test_solve_below_minus_700_is_short(self, monkeypatch):
+        logsf, calls = sf.norm_logsf, []
+
+        def counted(x):
+            calls.append(x)
+            return logsf(x)
+
+        monkeypatch.setattr(sf, "norm_logsf", counted)
+        for lq in [v for v in _ISF_LOG_SWEEP if v < -700.0]:
+            calls.clear()
+            sf.norm_isf_log(lq)
+            assert 1 <= len(calls) <= 6, lq
+
+    def test_zero_tail_is_inf(self):
+        # the rational in sqrt(-lq) once gave nan here
+        assert sf.norm_isf_log(-math.inf) == math.inf
+        out = sf.norm_isf_log(np.array([-math.inf, -800.0]))
+        assert out[0] == math.inf and out[1] == sf.norm_isf_log(-800.0)
+
+
+class TestTypedFailures:
+    """Bad input raises ValueError before a series runs on it, and a
+    series or fraction that runs out of steps raises SolverError."""
+
+    @pytest.mark.parametrize("nu", [3.0, 1e5])
+    def test_chi_nan_rejected_before_a_series(self, monkeypatch, nu):
+        # a nan once ran _gser's 50,000 steps before it raised
+        for name in ("_gser", "_gcf"):
+            def no_nan(a, x, loop=getattr(sf, name)):
+                assert not math.isnan(x), "a series took nan"
+                return loop(a, x)
+
+            monkeypatch.setattr(sf, name, no_nan)
+        for call in (lambda: sf.chi_cdf(math.nan, nu),
+                     lambda: sf._chi_pq(math.nan, nu, True),
+                     lambda: sf.chi_cdf(np.array([1.0, math.nan]), nu)):
+            with pytest.raises(ValueError, match="x >= 0"):
+                call()
+
+    @pytest.mark.parametrize("loop", [
+        lambda: sf._gser(2.0, math.nan),
+        lambda: sf._gcf(2.0, math.nan),
+        lambda: sf._betacf(2.0, 0.5, math.nan),
+        lambda: sf._betacf_array(2.0, 0.5, np.array([0.3, math.nan])),
+        lambda: sf._bgrat(150.0, math.nan, -0.1),
+    ], ids=["gser", "gcf", "betacf", "betacf_array", "bgrat"])
+    def test_loops_raise_solver_error(self, loop):
+        with pytest.raises(sf.SolverError, match="converge|failed"):
+            loop()
+
+
 def temme_coefficients(rows, terms):
     """d_kn of Temme's c_k(eta) = sum_n d_kn eta^n, in exact rationals.
 
