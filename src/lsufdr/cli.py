@@ -18,6 +18,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 
 from .asymptotics import eer_fdr_normal, eer_fdr_t, limit_constants
@@ -47,6 +48,8 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, **kwargs):
         # "--rho" must not pass for an abbreviation of "--rho-grid"
         super().__init__(allow_abbrev=False, **kwargs)
+        # a value like the grid -1:5:2 is no option, as plain -1 is not
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     # argparse exits with 2 on usage problems; the interface contract
     # reserves 2 for numeric failures and 1 for usage

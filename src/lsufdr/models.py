@@ -566,6 +566,13 @@ def _uniform_count(model: ModelSpec, config: ExtremeConfig) -> int:
     return config.n if model.false_theta is not None else config.n0
 
 
+def _threshold(model: ModelSpec, cutoff: float, z):
+    """The smallest uniform kept at disturbance z (a float or an array):
+    1 - F_inf(cutoff | z) less _U_MARGIN, clipped as the uniforms are."""
+    f = _null_cdf(model, cutoff, z) if cutoff < 1.0 else np.ones_like(z)
+    return np.clip(1.0 - f - _U_MARGIN, _U_TINY, 1.0 - _U_TINY)
+
+
 def _kept_pvalues(model: ModelSpec, z: np.ndarray, u: np.ndarray,
                   cutoff: float):
     """(p, counts): the null p-values of row i of u, at disturbance z[i],
@@ -577,8 +584,7 @@ def _kept_pvalues(model: ModelSpec, z: np.ndarray, u: np.ndarray,
     threshold less a margin, unless the largest one it drops still maps
     to a p-value at or below the cutoff; then it keeps them all.
     """
-    f = _null_cdf(model, cutoff, z) if cutoff < 1.0 else np.ones_like(z)
-    lo = np.minimum(np.maximum(1.0 - f - _U_MARGIN, _U_TINY), 1.0 - _U_TINY)
+    lo = _threshold(model, cutoff, z)
     kept = u >= lo[:, None]
     # u - kept is negative where kept, so a row's max is the largest
     # uniform it drops, if any
@@ -603,6 +609,40 @@ def _kept_pvalues(model: ModelSpec, z: np.ndarray, u: np.ndarray,
     if p.size and not 0.0 <= p.min() <= p.max() <= 1.0:
         raise ValueError("p-values must lie in [0, 1]")
     return p, counts
+
+
+def _sample_candidates(model: ModelSpec, config: ExtremeConfig, z: float,
+                       cutoff: float, rng: np.random.Generator):
+    """(p, nulls) of `_sample_block` for one replicate at disturbance z,
+    drawing from rng only the uniforms that `_kept_pvalues` keeps.
+
+    Given z, the K of count uniforms at or above the threshold lo are
+    Binomial(count, 1 - lo) in number and i.i.d. uniform on [lo, 1).
+    The largest one below lo, the guard, is lo V^(1/(count - K)) for one
+    more uniform V; only if its p-value is at or below the cutoff are
+    the others drawn (uniform below it) and kept.  Nulls take these
+    steps at z, then shifted alternatives at z - false_theta.
+    """
+    parts = []
+    for theta, count in ((0.0, config.n0), (model.false_theta, config.n1)):
+        if theta is None:
+            parts.append(np.zeros(count))
+            continue
+        lo = float(_threshold(model, cutoff, z - theta))
+        k = int(rng.binomial(count, 1.0 - lo))
+        u = np.minimum(lo + (1.0 - lo) * rng.random(k), 1.0 - _U_TINY)
+        # the guard rides along at the end of the candidates' kernel call
+        top = lo * rng.random() ** (1.0 / (count - k)) if k < count else 0.0
+        p = _null_pvalues(model, z - theta, np.append(u, max(top, _U_TINY)))
+        if k < count and p[-1] <= cutoff:
+            rest = np.maximum(top * rng.random(count - k - 1), _U_TINY)
+            p = np.concatenate((p, _null_pvalues(model, z - theta, rest)))
+        else:
+            p = p[:-1]
+        if p.size and not 0.0 <= p.min() <= p.max() <= 1.0:
+            raise ValueError("p-values must lie in [0, 1]")
+        parts.append(p)
+    return np.concatenate(parts)[None], np.array([parts[0].size])
 
 
 def _sample_block(model: ModelSpec, config: ExtremeConfig, z: np.ndarray,

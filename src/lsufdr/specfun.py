@@ -482,7 +482,8 @@ def _solve_increasing(g, lo, hi, rtol, dens=None, x=None):
     x = lo if dens is None or x is None else min(max(x, lo), hi)
     g_lo, side = math.nan, 0
     for _ in range(200):
-        gx = g(x)
+        # a seed at hi takes its first step from g_hi, not yet halved
+        gx = g_hi if side == 0 and x == hi else g(x)
         if gx == 0.0:
             return x
         if gx < 0.0:

@@ -141,8 +141,20 @@ class TestCurve:
     def test_grid_value_out_of_range(self, tmp_path, capsys, model, flag,
                                      grid):
         out = tmp_path / "range.csv"
-        # "--nu-grid -1:5:2" would read -1:5:2 as an option
         assert main(["curve", "--model", model, f"{flag}={grid}",
+                     "--out", str(out)]) == 1
+        assert "grid values" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("model, flag, grid", [
+        ("normal", "--rho-grid", "-0.5:0.5:3"),
+        ("t", "--nu-grid", "-1:5:2"),
+    ])
+    def test_negative_grid_start_after_its_flag(self, tmp_path, capsys,
+                                                model, flag, grid):
+        # without "=", a grid starting with "-" is still the flag's value
+        out = tmp_path / "range.csv"
+        assert main(["curve", "--model", model, flag, grid,
                      "--out", str(out)]) == 1
         assert "grid values" in capsys.readouterr().err
         assert not out.exists()

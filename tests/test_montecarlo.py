@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import os
 
 import numpy as np
 import pytest
@@ -780,3 +781,125 @@ class TestGuardRidesAlong:
             largest = np.argsort(np.argsort(-u[i])) < counts[i]
             assert np.array_equal(p[ends[i] - counts[i]:ends[i]],
                                   _null_pvalues(model, z[i], u[i][largest]))
+
+
+def chi2_two_sample(a, b, level):
+    """(statistic, critical value at level) of the two-sample chi-square
+    test that the rows of a and b, (m, v) pairs, share one law.  Cells
+    whose smaller expected count is below 5 are pooled into one."""
+    cells, idx = np.unique(np.concatenate((a, b)), axis=0,
+                           return_inverse=True)
+    idx = idx.reshape(-1)
+    table = np.stack((np.bincount(idx[:len(a)], minlength=len(cells)),
+                      np.bincount(idx[len(a):], minlength=len(cells))))
+    small = table.sum(axis=0) * min(len(a), len(b)) / len(idx) < 5
+    table = np.column_stack((table[:, ~small],
+                             table[:, small].sum(axis=1)))
+    table = table[:, table.sum(axis=0) > 0]
+    expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / table.sum()
+    stat = float(((table - expected) ** 2 / expected).sum())
+    return stat, specfun.chi_quantile(1.0 - level, table.shape[1] - 1) ** 2
+
+
+class TestCandidateRoute:
+    """From n = _BLOCK_ELEMS on, a replicate draws only its candidates
+    (`models._sample_candidates`): a new random stream, so the route is
+    compared with the row route in law.  The tests force it at small n
+    through `montecarlo._BLOCK_ELEMS`."""
+
+    LEVEL = 1e-3
+    # candidate-route replicates per family, half unconditional and half
+    # conditional; its Python work per replicate (0.06-0.45 ms) bounds
+    # them here, and LSUFDR_RUN_SLOW=1 runs 1e5 per family
+    REPS = {"normal": 6000, "student_t": 2400, "exponential": 10000,
+            "exponential_shift": 8000}
+
+    def assert_same_law(self, plan, monkeypatch, row_reps=None, spy=None):
+        """plan on the candidate route (through spy, if given) against the
+        row route at the next seed with row_reps replicates."""
+        with monkeypatch.context() as patch:
+            patch.setattr(montecarlo, "_BLOCK_ELEMS", plan.config.n)
+            if spy is not None:
+                patch.setattr(montecarlo, "_sample_candidates", spy)
+            cand = run(plan, keep_replicates=True, workers=1)
+        row = run(dataclasses.replace(
+            plan, replicates=row_reps or plan.replicates,
+            config=dataclasses.replace(plan.config, seed=plan.config.seed + 1)),
+            keep_replicates=True, workers=1)
+        stat, crit = chi2_two_sample(
+            np.column_stack((cand.r_counts, cand.v_counts)),
+            np.column_stack((row.r_counts, row.v_counts)), self.LEVEL)
+        assert stat < crit, (stat, crit)
+
+    @pytest.mark.parametrize("family", sorted(EQUIVALENCE))
+    def test_same_law_as_row_route(self, monkeypatch, family):
+        model, n, alpha, z, _ = EQUIVALENCE[family]
+        reps = 10 ** 5 if os.environ.get("LSUFDR_RUN_SLOW") \
+            else self.REPS[family]
+        for i, cond in enumerate((None, z)):
+            plan = _plan(model, n, 0.75, alpha, reps // 2, 700 + 2 * i,
+                         conditional_z=cond)
+            self.assert_same_law(plan, monkeypatch)
+
+    def test_guard_fallback(self, monkeypatch):
+        # a negative margin drops uniforms whose p-values are <= alpha;
+        # a passing guard draws the rest and keeps every null
+        monkeypatch.setattr(models, "_U_MARGIN", -0.05)
+        sample = montecarlo._sample_candidates
+        full = []
+
+        def spy(model, config, z, cutoff, rng):
+            p, nulls = sample(model, config, z, cutoff, rng)
+            full.append(nulls[0] == config.n0)
+            return p, nulls
+
+        passed = []
+        # the t kernels cost 2.5 ms per replicate here
+        for model, z, reps in ((ModelSpec.normal(0.3), None, 1000),
+                               (ModelSpec.student_t(5.0), None, 300),
+                               (ModelSpec.exponential(false_theta=1.0), 0.1,
+                                1000)):
+            plan = _plan(model, 120, 0.8, 0.2, reps, 710, conditional_z=z)
+            full.clear()
+            self.assert_same_law(plan, monkeypatch, row_reps=3 * reps,
+                                 spy=spy)
+            assert len(full) == reps
+            passed.append(sum(full) / reps)
+        assert 0 < min(passed) and max(passed) < 1, passed
+
+    def test_worker_count_invariance(self):
+        # the real cut-over, and two chunks, the second past zero
+        model = ModelSpec.normal(0.5)
+        plan = _plan(model, montecarlo._BLOCK_ELEMS, 1.0, 0.01,
+                     montecarlo._CHUNK + 5, 720)
+        one = run(plan, keep_replicates=True, workers=1)
+        two = run(plan, keep_replicates=True, workers=2)
+        assert one.as_dict() == two.as_dict()
+        assert np.array_equal(one.r_counts, two.r_counts)
+        assert np.array_equal(one.v_counts, two.v_counts)
+        assert 0 < one.r_counts.mean()
+
+    def test_cut_over_at_block_elems(self, monkeypatch):
+        # one element short of the cut-over, the row route keeps the full
+        # vector's counts on the same substreams; at it, the candidates'
+        # z is still draw_disturbance's
+        seen = []
+        sample = montecarlo._sample_candidates
+
+        def spy(model, config, z, cutoff, rng):
+            seen.append(z)
+            return sample(model, config, z, cutoff, rng)
+
+        monkeypatch.setattr(montecarlo, "_sample_candidates", spy)
+        model = ModelSpec.normal(0.3)
+        n = montecarlo._BLOCK_ELEMS
+        below = _plan(model, n - 1, 0.9, 0.05, 6, 730)
+        s = run(below, keep_replicates=True, workers=1)
+        m, v = full_vector_counts(below)
+        assert not seen
+        assert np.array_equal(s.r_counts, m)
+        assert np.array_equal(s.v_counts, v)
+        at = _plan(model, n, 0.9, 0.05, 6, 730)
+        run(at, workers=1)
+        assert seen == [draw_disturbance(model, make_rng(730, i))
+                        for i in range(6)]

@@ -482,6 +482,21 @@ class TestSolveIncreasing:
         assert sf.SolverError is lsufdr.SolverError \
             is lsufdr.crossing.SolverError
 
+    @pytest.mark.parametrize("name, call, args", [
+        ("norm_logsf", lambda: sf.norm_isf_log(-1e4), [141.4213562373095]),
+        ("t_logsf", lambda: sf.t_isf(1e-300, 1.0), [3.183098861837784e+299]),
+    ])
+    def test_seed_at_hi_is_evaluated_once(self, monkeypatch, name, call,
+                                          args):
+        # the bracket check's g(hi) serves the first step from a seed at hi
+        calls, inner = [], getattr(sf, name)
+        monkeypatch.setattr(sf, name,
+                            lambda x, *rest: calls.append(x) or inner(x, *rest))
+        call()
+        assert calls.count(args[0]) == 1
+        if name == "t_logsf":
+            assert calls == args  # the power law's root is the root
+
     def test_far_t_tail_is_right_or_raises(self):
         # the tail's Newton steps crawl here: the root is 54.29, and 200
         # steps from the normal seed reach only 50.38
