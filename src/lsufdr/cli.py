@@ -48,7 +48,7 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, **kwargs):
         # "--rho" must not pass for an abbreviation of "--rho-grid"
         super().__init__(allow_abbrev=False, **kwargs)
-        # a value like the grid -1:5:2 is no option, as plain -1 is not
+        # a grid such as -1:5:2 is a value, as -1 is, not an option
         self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     # argparse exits with 2 on usage problems; the interface contract

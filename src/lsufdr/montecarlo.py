@@ -27,7 +27,7 @@ i*alpha/n of the full n.  How they are drawn depends on n alone:
 * From n = _BLOCK_ELEMS on, a replicate is a block of its own and draws
   only z's uniform, its candidates and the guard
   (`models._sample_candidates`), in O(alpha*n): a normal replicate at
-  n = 1e5 takes about 0.5 ms in place of 1.6 ms (2 shared CPUs).  This
+  n = 1e5 takes about 0.7 ms in place of 1.8 ms (2 shared CPUs).  This
   agrees with the full vector in law, not in bits.  At small n its
   per-replicate calls cost more than the draws they save.
 
