@@ -60,7 +60,7 @@ __all__ = ["SimulationPlan", "SimulationSummary", "ConvergenceRow",
 _HIST_BINS = 200
 _CHUNK = 2048
 # elements (replicates x n) of one block; at n >= _BLOCK_ELEMS a block
-# holds one replicate
+# holds one replicate, which draws only its candidates
 _BLOCK_ELEMS = 2 ** 16
 WORKERS_ENV = "LSUFDR_WORKERS"
 
