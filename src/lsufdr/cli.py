@@ -38,10 +38,8 @@ _CROSSING_KEYS = ("t1", "t2", "has_tangent", "lcp_intervals",
 
 _CURVE_MODELS = {"normal": NORMAL, "t": STUDENT_T, "student_t": STUDENT_T}
 _MODEL_CHOICES = {**_CURVE_MODELS, "exponential": EXPONENTIAL}
-
-
-class _UsageError(Exception):
-    pass
+# each curve family's grid parameter and limit function
+_CURVE_LAWS = {NORMAL: ("rho", eer_fdr_normal), STUDENT_T: ("nu", eer_fdr_t)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -54,17 +52,17 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on usage problems; the interface contract
     # reserves 2 for numeric failures and 1 for usage
     def error(self, message):
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def _parse_grid(text: str) -> tuple[float, ...]:
     parts = text.split(":")
     if len(parts) != 3:
-        raise _UsageError("grid must be start:stop:count")
+        raise ValueError("grid must be start:stop:count")
     start, stop = float(parts[0]), float(parts[1])
     count = int(parts[2])
     if count < 0:
-        raise _UsageError("grid count must be nonnegative")
+        raise ValueError("grid count must be nonnegative")
     if count <= 1:
         return (start,) * count
     step = (stop - start) / (count - 1)
@@ -87,10 +85,7 @@ def _write(text: str, out: str | None):
 def _curve_row(task):
     family, alpha, zeta, g = task
     try:
-        if family == NORMAL:
-            res = eer_fdr_normal(alpha, zeta, g)
-        else:
-            res = eer_fdr_t(alpha, zeta, g)
+        res = _CURVE_LAWS[family][1](alpha, zeta, g)
         return (family, alpha, zeta, g, res.eer, res.fdr, res.t1, res.t2,
                 res.quadrature_error, "ok")
     except Exception as exc:  # keep sweeping, record the failure
@@ -107,10 +102,10 @@ def cmd_curve(args) -> int:
     them.
     """
     family = _CURVE_MODELS[args.model]
-    param = "rho" if family == NORMAL else "nu"
+    param = _CURVE_LAWS[family][0]
     spec = getattr(args, f"{param}_grid")
     if spec is None:  # the parser takes exactly one grid flag
-        raise _UsageError(f"the {args.model} model takes --{param}-grid")
+        raise ValueError(f"the {args.model} model takes --{param}-grid")
     grid = _parse_grid(spec)
     _check_alpha(args.alpha)
     zetas = [_check_zeta(z) for z in args.zeta or [0.5]]
@@ -142,7 +137,7 @@ def cmd_curve(args) -> int:
 def _model_zeta(args) -> tuple[ModelSpec, float]:
     """The model and --zeta (0.5 when not given) of simulate and crossing."""
     if args.zeta is not None and len(args.zeta) > 1:
-        raise _UsageError("--zeta may be repeated only for curve")
+        raise ValueError("--zeta may be repeated only for curve")
     model = ModelSpec(_MODEL_CHOICES[args.model], rho=args.rho, nu=args.nu)
     return model, (args.zeta or [0.5])[0]
 
@@ -229,7 +224,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.run(args)
-    except (_UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:

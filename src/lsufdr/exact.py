@@ -62,9 +62,8 @@ class BoundarySpec:
     lower_bounds: Sequence[float]
 
     def __post_init__(self):
+        object.__setattr__(self, "m", _check_count(self.m, "m", 1))
         bounds = tuple(float(b) for b in self.lower_bounds)
-        if self.m < 1:
-            raise ValueError("m must be at least 1")
         if len(bounds) > self.m:
             raise ValueError("more bounds than order statistics")
         if not all(0.0 <= b <= 1.0 for b in bounds):
@@ -180,15 +179,6 @@ def _uniform_cuts(crit: np.ndarray, gamma: float,
     return lo.view(np.float64)
 
 
-def _linear_null_cdf(t: float, gamma: float, t_star: float) -> float:
-    head = gamma * t_star
-    if t <= t_star:
-        return min(gamma * t, 1.0)
-    if head >= 1.0:
-        return 1.0
-    return head + (t - t_star) * (1.0 - head) / (1.0 - t_star)
-
-
 def restricted_fdr_check(spec: LinearNullSpec, alpha: float,
                          replicates: int = 10 ** 6,
                          seed: int = 20250808):
@@ -226,10 +216,15 @@ def restricted_fdr_check(spec: LinearNullSpec, alpha: float,
     elif r == n:
         rhs = n0 / n * gamma * alpha
     else:
+        # the bounds lie above t_star (r is the last rank at or below it,
+        # up to rounding), where the null cdf is affine; the clip in
+        # boundary_noncrossing_prob flattens it when gamma*t_star = 1
         bounds = [(j + 1) * alpha / n for j in range(r, n)]
         bspec = BoundarySpec(m=n0 - 1, lower_bounds=bounds)
+        head = gamma * t_star
         prob = boundary_noncrossing_prob(
-            bspec, lambda t: _linear_null_cdf(t, gamma, t_star))
+            bspec,
+            lambda t: head + (t - t_star) * (1.0 - head) / (1.0 - t_star))
         rhs = n0 / n * gamma * alpha * prob
 
     # Monte Carlo side

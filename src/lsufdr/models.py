@@ -680,16 +680,12 @@ def _sample_block(model: ModelSpec, config: ExtremeConfig, z: np.ndarray,
 
 
 def _assemble(model: ModelSpec, config: ExtremeConfig, z: float,
-              rng: np.random.Generator, cutoff: float = 1.0):
-    """One replicate's p-values given z, nulls first: the one-row case
-    of `_sample_block` on uniforms drawn from rng.
-
-    cutoff = 1 gives the full vector.  The step-up procedures at level
-    alpha never reject a p-value above alpha, so cutoff = alpha gives
-    them the same rejections on a sample of the kept p-values.
-    """
+              rng: np.random.Generator):
+    """One replicate's full p-value vector given z, nulls first: the
+    one-row case of `_sample_block`, at cutoff 1, on uniforms drawn
+    from rng."""
     u = rng.random((1, _uniform_count(model, config)))
-    p, nulls = _sample_block(model, config, np.array([float(z)]), u, cutoff)
+    p, nulls = _sample_block(model, config, np.array([float(z)]), u, 1.0)
     return PValueSample(pvalues=p[0],
                         is_true_null=np.arange(p.shape[1]) < nulls[0],
                         n=config.n)

@@ -99,6 +99,18 @@ class TestBoundaryNoncrossing:
         with pytest.raises(ValueError, match="more bounds"):
             BoundarySpec(1, [0.1, 0.2])
 
+    @pytest.mark.parametrize("m", [2.5, True, 0, "3"])
+    def test_m_checked(self, m):
+        with pytest.raises(ValueError, match="^m must"):
+            BoundarySpec(m=m, lower_bounds=[0.5])
+
+    def test_integral_float_m(self):
+        spec = BoundarySpec(m=3.0, lower_bounds=[0.2, 0.3])
+        assert spec.m == 3 and type(spec.m) is int
+        assert boundary_noncrossing_prob(spec, lambda t: t) \
+            == boundary_noncrossing_prob(BoundarySpec(3, [0.2, 0.3]),
+                                         lambda t: t)
+
     def test_out_of_range_rejected(self):
         for bounds in ([-0.1, 0.2], [math.nan]):
             with pytest.raises(ValueError):
@@ -243,6 +255,50 @@ class TestRestrictedIdentity:
         lhs, rhs = restricted_fdr_check(spec, alpha=0.25, replicates=400000)
         se = math.sqrt(max(lhs * (1.0 - lhs), 1e-6) / 400000)
         assert abs(lhs - rhs) < 3 * se
+
+    def test_null_cdf_asked_only_above_t_star(self, monkeypatch):
+        # the exact side's null cdf is affine, which holds above t_star
+        # only; every bound (j+1)*alpha/n, j >= r, lies there while the
+        # 1e-12 in r tops the rounding of n*t_star/alpha (n <= 150 here)
+        asked, t_top = [], [0.0]
+        bnp = exact.boundary_noncrossing_prob
+
+        def spy(spec, null_cdf):
+            def cdf(t):
+                asked.append(t > t_top[0])
+                return null_cdf(t)
+            return bnp(spec, cdf)
+
+        monkeypatch.setattr(exact, "boundary_noncrossing_prob", spy)
+        rng = np.random.default_rng(27)
+        cases = [(LinearNullSpec(1.0, 10, 10, 0.1), 0.2)]  # the benchmark's
+        while len(cases) < 400:
+            n = int(rng.integers(2, 151))
+            alpha = float(rng.uniform(0.01, 0.5))
+            # n*t_star/alpha within 1e-12 of an integer, or anywhere
+            near = rng.random() < 0.5
+            t_star = (int(rng.integers(1, n + 1)) + float(rng.choice(
+                [-9e-13, -5e-13, 0.0, 5e-13, 9e-13]))) * alpha / n \
+                if near else float(rng.uniform(1e-3, 1.0))
+            unit = rng.random() < 0.5  # gamma*t_star = 1
+            gamma = 1.0 / t_star if unit \
+                else float(rng.uniform(0.0, 1.0 / t_star))
+            if unit and gamma * t_star != 1.0:
+                continue
+            cases.append((LinearNullSpec(gamma, int(rng.integers(1, n + 1)),
+                                         n, t_star), alpha))
+        reached = {"near": 0, "unit": 0}
+        for spec, alpha in cases:
+            t_top[0] = min(spec.t_star, alpha)
+            before = len(asked)
+            restricted_fdr_check(spec, alpha, replicates=1)
+            if len(asked) > before:
+                x = spec.n * t_top[0] / alpha
+                reached["near"] += abs(x - round(x)) <= 1e-12
+                reached["unit"] += spec.gamma * t_top[0] == 1.0
+        assert all(asked)
+        assert len(asked) > 1000
+        assert min(reached.values()) >= 30
 
     @pytest.mark.parametrize("gamma,t_star", [(1.0, 0.1), (0.5, 0.125),
                                               (30.0, 0.03), (0.0, 0.2),

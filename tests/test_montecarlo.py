@@ -16,7 +16,9 @@ from lsufdr.models import (
     _null_cdf,
     _null_pvalues,
     _rekey,
+    _sample_block,
     _substream_keys,
+    _uniform_count,
     draw_disturbance,
     make_rng,
 )
@@ -27,7 +29,7 @@ from lsufdr.montecarlo import (
     convergence_study,
     run,
 )
-from lsufdr.stepup import lsd, lsu
+from lsufdr.stepup import PValueSample, lsd, lsu
 
 EXPO_PLAN = SimulationPlan(model=ModelSpec.exponential(),
                            config=ExtremeConfig(n=50, zeta=0.5, seed=99),
@@ -291,7 +293,13 @@ class TestTailOnlyEngine:
 
     @staticmethod
     def both(model, cfg, z, cutoff, key=0):
-        tail = _assemble(model, cfg, z, make_rng(cfg.seed, key), cutoff)
+        # the tail sample is `_assemble`'s one row at this cutoff, not 1
+        rng = make_rng(cfg.seed, key)
+        u = rng.random((1, _uniform_count(model, cfg)))
+        p, nulls = _sample_block(model, cfg, np.array([float(z)]), u, cutoff)
+        tail = PValueSample(pvalues=p[0],
+                            is_true_null=np.arange(p.shape[1]) < nulls[0],
+                            n=cfg.n)
         full = _assemble(model, cfg, z, make_rng(cfg.seed, key))
         assert tail.n == full.n == cfg.n
         for proc in (lsu, lsd):
