@@ -13,6 +13,7 @@ matrices built from one log-factorial table.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -30,6 +31,10 @@ __all__ = [
 ]
 
 _EXACT_M_LIMIT = 200
+# relative slack of a few ulps with which a critical value counts as at or
+# below t_star: a t_star formed as k*alpha/n in another order may round
+# below c_k
+_RANK_SLACK = 4.0 * sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -203,7 +208,9 @@ def restricted_fdr_check(spec: LinearNullSpec, alpha: float,
     n, n0 = spec.n, spec.n0
     n1 = n - n0
     gamma, t_star = spec.gamma, min(spec.t_star, alpha)
-    r = min(int(math.floor(n * t_star / alpha + 1e-12)), n)
+    crit = _critical(alpha, n)
+    # the last rank whose critical value is at or below t_star
+    r = int(np.searchsorted(crit, t_star * (1.0 + _RANK_SLACK), side="right"))
 
     # Exact side.  The leave-one-out vector holds n0-1 nulls plus n1
     # exact zeros; the zeros occupy the bottom ranks, so a constraint at
@@ -217,7 +224,7 @@ def restricted_fdr_check(spec: LinearNullSpec, alpha: float,
         rhs = n0 / n * gamma * alpha
     else:
         # the bounds lie above t_star (r is the last rank at or below it,
-        # up to rounding), where the null cdf is affine; the clip in
+        # up to a few ulps), where the null cdf is affine; the clip in
         # boundary_noncrossing_prob flattens it when gamma*t_star = 1
         bounds = [(j + 1) * alpha / n for j in range(r, n)]
         bspec = BoundarySpec(m=n0 - 1, lower_bounds=bounds)
@@ -228,7 +235,6 @@ def restricted_fdr_check(spec: LinearNullSpec, alpha: float,
         rhs = n0 / n * gamma * alpha * prob
 
     # Monte Carlo side
-    crit = _critical(alpha, n)
     cuts = _uniform_cuts(crit, gamma, t_star)
     rng = make_rng(seed, 811)
     chunk_sums = []

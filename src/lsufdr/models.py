@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun as sf
-from .stepup import PValueSample, _check_alpha
+from .stepup import PValueSample, _check_alpha, _probed_counts
 
 __all__ = [
     "NORMAL",
@@ -176,15 +176,18 @@ def _check_t(t):
     return t
 
 
-def _null_cdf(model: ModelSpec, t, z):
+def _null_cdf(model: ModelSpec, t, z, isf=None):
     """F_inf(t | z) for 0 < t < 1, unchecked, on floats or broadcasting
     arrays.  The exponential law holds for any real z: the sampler's
-    shifted alternatives are its nulls at z - false_theta."""
-    if model.family == NORMAL:
-        return sf.norm_sf(sf.norm_isf(t) / math.sqrt(model.rho_bar)
-                          + math.sqrt(model.rho / model.rho_bar) * z)
-    if model.family == STUDENT_T:
-        return sf.norm_sf(z * sf.t_isf(t, model.nu))
+    shifted alternatives are its nulls at z - false_theta.  isf, if
+    given, is `_cutoff_quantile(model, t)`, solved once by a caller that
+    asks at many z."""
+    if model.family != EXPONENTIAL:
+        x = null_isf(model, t) if isf is None else isf
+        if model.family == NORMAL:
+            return sf.norm_sf(x / math.sqrt(model.rho_bar)
+                              + math.sqrt(model.rho / model.rho_bar) * z)
+        return sf.norm_sf(z * x)
     # exponential: 2 e^-z t up to t = 1/2, e^-z / (2 - 2t) beyond, at most
     # 1.  Bounding -z at 709 keeps e^-z finite; past the bound the law is 1
     # for every t above 1e-308 either way.
@@ -409,6 +412,11 @@ def _disturbance_law(model: ModelSpec, z: float, upper: bool) -> float:
 # by _U_MARGIN against rounding in the p-value kernels
 _U_TINY = 1e-16
 _U_MARGIN = 1e-9
+# relative bound on how far a p-value kernel's rounding can lift a larger
+# uniform's p-value above a smaller one's: at most 1.9e-15 on runs of
+# consecutive doubles (a tier-1 test holds it below 1e-12), where each
+# kernel's error against its law is of order 1e-13
+_P_SLACK = 1e-9
 
 
 def make_rng(seed: int, *key: int) -> np.random.Generator:
@@ -549,15 +557,19 @@ def _null_pvalues(model: ModelSpec, z, u: np.ndarray) -> np.ndarray:
     if model.family == NORMAL:
         x = np.asarray(sf.Phi_inv(u))
         y = math.sqrt(model.rho_bar) * x - math.sqrt(model.rho) * z
-        return np.asarray(sf.norm_sf(y))
-    if model.family == STUDENT_T:
+        p = np.asarray(sf.norm_sf(y))
+    elif model.family == STUDENT_T:
         x = np.asarray(sf.Phi_inv(u))
-        return sf.t_sf(x / z, model.nu)
-    # 1 - W(w) for w = E - z, W the cdf of a difference of two standard
-    # exponentials
-    w = -np.log1p(-u) - z
-    half = 0.5 * np.exp(-np.abs(w))
-    return np.where(w <= 0.0, 1.0 - half, half)
+        p = sf.t_sf(x / z, model.nu)
+    else:
+        # 1 - W(w) for w = E - z, W the cdf of a difference of two
+        # standard exponentials
+        w = -np.log1p(-u) - z
+        half = 0.5 * np.exp(-np.abs(w))
+        p = np.where(w <= 0.0, 1.0 - half, half)
+    if p.size and not 0.0 <= p.min() <= p.max() <= 1.0:
+        raise ValueError("p-values must lie in [0, 1]")
+    return p
 
 
 def _uniform_count(model: ModelSpec, config: ExtremeConfig) -> int:
@@ -566,10 +578,18 @@ def _uniform_count(model: ModelSpec, config: ExtremeConfig) -> int:
     return config.n if model.false_theta is not None else config.n0
 
 
-def _threshold(model: ModelSpec, cutoff: float, z):
+def _cutoff_quantile(model: ModelSpec, cutoff: float):
+    """The null quantile `_null_cdf` solves for a float cutoff in (0, 1),
+    or None for the exponential family, whose law needs none."""
+    return None if model.family == EXPONENTIAL else null_isf(model, cutoff)
+
+
+def _threshold(model: ModelSpec, cutoff: float, z, isf=None):
     """The smallest uniform kept at disturbance z (a float or an array):
-    1 - F_inf(cutoff | z) less _U_MARGIN, clipped as the uniforms are."""
-    f = _null_cdf(model, cutoff, z) if cutoff < 1.0 else np.ones_like(z)
+    1 - F_inf(cutoff | z) less _U_MARGIN, clipped as the uniforms are;
+    isf as `_null_cdf` takes it."""
+    f = _null_cdf(model, cutoff, z, isf) if cutoff < 1.0 \
+        else np.ones_like(z)
     return np.clip(1.0 - f - _U_MARGIN, _U_TINY, 1.0 - _U_TINY)
 
 
@@ -606,43 +626,89 @@ def _kept_pvalues(model: ModelSpec, z: np.ndarray, u: np.ndarray,
         kept[back] = True
         counts[back] = u.shape[1]
         p = full[kept]
-    if p.size and not 0.0 <= p.min() <= p.max() <= 1.0:
-        raise ValueError("p-values must lie in [0, 1]")
     return p, counts
 
 
-def _sample_candidates(model: ModelSpec, config: ExtremeConfig, z: float,
-                       cutoff: float, rng: np.random.Generator):
-    """(p, nulls) of `_sample_block` for one replicate at disturbance z,
-    drawing from rng only the uniforms that `_kept_pvalues` keeps.
+def _candidate_uniforms(model: ModelSpec, count: int, z: float,
+                        cutoff: float, rng: np.random.Generator, isf=None):
+    """(u, guard): the K of count null uniforms at disturbance z at or
+    above the threshold lo, largest first, and the largest one below lo
+    (None if K = count), drawing from rng only these.
 
-    Given z, the K of count uniforms at or above the threshold lo are
-    Binomial(count, 1 - lo) in number and i.i.d. uniform on [lo, 1).
-    The largest one below lo, the guard, is lo V^(1/(count - K)) for one
-    more uniform V; only if its p-value is at or below the cutoff are
-    the others drawn (uniform below it) and kept.  Nulls take these
-    steps at z, then shifted alternatives at z - false_theta.
+    Given z, K is Binomial(count, 1 - lo), the K are i.i.d. uniform on
+    [lo, 1) and the guard is lo V^(1/(count - K)) for one more uniform
+    V, clipped as the uniforms are.  `_settled` draws the rest.
     """
-    parts = []
-    for theta, count in ((0.0, config.n0), (model.false_theta, config.n1)):
-        if theta is None:
-            parts.append(np.zeros(count))
-            continue
-        lo = float(_threshold(model, cutoff, z - theta))
-        k = int(rng.binomial(count, 1.0 - lo))
-        u = np.minimum(lo + (1.0 - lo) * rng.random(k), 1.0 - _U_TINY)
-        # the guard rides along at the end of the candidates' kernel call
-        top = lo * rng.random() ** (1.0 / (count - k)) if k < count else 0.0
-        p = _null_pvalues(model, z - theta, np.append(u, max(top, _U_TINY)))
-        if k < count and p[-1] <= cutoff:
-            rest = np.maximum(top * rng.random(count - k - 1), _U_TINY)
-            p = np.concatenate((p, _null_pvalues(model, z - theta, rest)))
-        else:
-            p = p[:-1]
-        if p.size and not 0.0 <= p.min() <= p.max() <= 1.0:
-            raise ValueError("p-values must lie in [0, 1]")
-        parts.append(p)
-    return np.concatenate(parts)[None], np.array([parts[0].size])
+    lo = float(_threshold(model, cutoff, z, isf))
+    k = int(rng.binomial(count, 1.0 - lo))
+    u = np.minimum(lo + (1.0 - lo) * rng.random(k), 1.0 - _U_TINY)
+    guard = None if k == count \
+        else max(lo * rng.random() ** (1.0 / (count - k)), _U_TINY)
+    return np.sort(u)[::-1], guard
+
+
+def _settled(model: ModelSpec, z: float, u: np.ndarray, guard, count: int,
+             cutoff: float, rng: np.random.Generator, p_guard=None):
+    """The uniforms that `_kept_pvalues` keeps of `_candidate_uniforms`'
+    (u, guard), largest first: u alone, unless the guard's p-value (p_guard,
+    or else the kernel's) is at or below the cutoff; then u, the guard
+    and the other count - K - 1, drawn from rng uniform below it."""
+    if guard is None:
+        return u
+    if p_guard is None:
+        p_guard = _null_pvalues(model, z, np.array([guard]))[0]
+    if p_guard > cutoff:
+        return u
+    rest = np.maximum(guard * rng.random(count - u.size - 1), _U_TINY)
+    return np.concatenate((u, [guard], np.sort(rest)[::-1]))
+
+
+def _candidate_counts(model: ModelSpec, config: ExtremeConfig, z: float,
+                      cutoff: float, procedure: str,
+                      rng: np.random.Generator, isf=None) -> tuple[int, int]:
+    """(m, v) of the step-up ("lsu") or step-down ("lsd") procedure at
+    level cutoff on one replicate at disturbance z: what `_sample_block`
+    and a count on its row give in law, drawing from rng only the
+    uniforms that `_kept_pvalues` keeps, for the nulls at z, then for
+    shifted alternatives at z - false_theta.
+
+    p falls as u rises, so the j-th smallest null p-value is the kernel
+    at the j-th largest kept uniform, up to the kernel's rounding
+    (`_P_SLACK`), and the search of `stepup._probed_counts` maps only
+    the uniforms at the ranks it probes.  The falses' p-values (zeros,
+    unless shifted) are held in full.  Where nothing is drawn after the
+    nulls, their guard rides along with the search's first kernel call;
+    if it passes, the search runs again on every null.
+    """
+    u, guard = _candidate_uniforms(model, config.n0, z, cutoff, rng, isf)
+    if model.false_theta is None:
+        falses = np.zeros(config.n1)
+    else:  # the falses are drawn once the nulls' guard has settled
+        u, guard = _settled(model, z, u, guard, config.n0, cutoff, rng), None
+        shifted = z - model.false_theta
+        w, top = _candidate_uniforms(model, config.n1, shifted, cutoff, rng,
+                                     isf)
+        w = _settled(model, shifted, w, top, config.n1, cutoff, rng)
+        falses = np.sort(_null_pvalues(model, shifted, w))
+    p_guard = []
+
+    def sorted_at(i):
+        if guard is None or p_guard:
+            return _null_pvalues(model, z, u[i])
+        p = _null_pvalues(model, z, np.append(u[i], guard))
+        p_guard.append(p[-1])
+        return p[:-1]
+
+    def search():
+        return _probed_counts(sorted_at, u.size, falses, cutoff, config.n,
+                              procedure == "lsd", _P_SLACK)
+
+    counts = search()
+    kept = _settled(model, z, u, guard, config.n0, cutoff, rng, *p_guard)
+    if kept.size > u.size:
+        u, guard = kept, None
+        counts = search()
+    return counts
 
 
 def _sample_block(model: ModelSpec, config: ExtremeConfig, z: np.ndarray,

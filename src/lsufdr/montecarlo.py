@@ -12,11 +12,11 @@ make_rng(seed, i) would.
 Replicates are tail-only.  The step-up procedures at level alpha only
 ever reject p-values at or below alpha (the largest critical value),
 and given the disturbance every p-value is a decreasing function of its
-uniform draw.  So a replicate maps through the quantile, the p-value
-kernel and the sort only its candidates, the uniforms at or above
-1 - F_inf(alpha | z) (lowered by a small margin, and checked on the
-largest uniform it drops), and compares them with the critical values
-i*alpha/n of the full n.  How they are drawn depends on n alone:
+uniform draw.  So a replicate keeps only its candidates, the uniforms
+at or above 1 - F_inf(alpha | z) (lowered by a small margin, and
+checked on the largest uniform it drops), and compares their p-values
+with the critical values i*alpha/n of the full n.  How they are drawn
+and counted depends on n alone:
 
 * Below n = _BLOCK_ELEMS, replicates run in blocks of up to
   _BLOCK_ELEMS uniforms.  Only the draws loop over a block's
@@ -25,16 +25,18 @@ i*alpha/n of the full n.  How they are drawn depends on n alone:
   `draw_disturbance`'s bits).  The counts equal those of the full
   p-value vector on the same substream.
 * From n = _BLOCK_ELEMS on, a replicate is a block of its own and draws
-  only z's uniform, its candidates and the guard
-  (`models._sample_candidates`), in O(alpha*n): a normal replicate at
-  n = 1e5 takes about 0.7 ms in place of 1.8 ms (2 shared CPUs).  This
-  agrees with the full vector in law, not in bits.  At small n its
-  per-replicate calls cost more than the draws they save.
+  only z's uniform, its candidates and the guard, in O(alpha*n).  It
+  sorts the candidates' uniforms once and searches for its step-up
+  count (`models._candidate_counts`): the kernel maps only the
+  uniforms at the ranks the search probes, 64-130 of 700-12,300
+  candidates per normal replicate at n = 1e5.  This agrees with the
+  full vector in law, not in bits.  At small n its per-replicate calls
+  cost more than the draws they save.
 
-Thresholds, p-values, the padded sort, the step-up counts and the
-histogram run once per block, and the block's terms are added to the
-running sums in replicate order, so the sums are those of one
-replicate at a time.
+On the row route, thresholds, p-values, the padded sort, the step-up
+counts and the histogram run once per block.  On both, the block's
+terms are added to the running sums in replicate order, so the sums
+are those of one replicate at a time.
 """
 
 from __future__ import annotations
@@ -47,9 +49,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .models import ExtremeConfig, ModelSpec, make_rng, _assemble, \
-    _check_count, _check_z, _disturbance_quantile, _null_cdf, _rekey, \
-    _sample_block, _sample_candidates, _substream_keys, _uniform_count, \
-    f_infinity
+    _candidate_counts, _check_count, _check_z, _cutoff_quantile, \
+    _disturbance_quantile, _null_cdf, _rekey, _sample_block, \
+    _substream_keys, _uniform_count, f_infinity
 from .stepup import _check_alpha, _stepdown_count, _stepup_count
 # lsu and lsd stay bound here: perfbench/tracing.py wraps them
 from .stepup import lsd, lsu  # noqa: F401
@@ -154,6 +156,8 @@ def _simulate_chunk(plan: SimulationPlan, start: int, stop: int,
     count = _stepup_count if plan.procedure == "lsu" else _stepdown_count
     rows = max(1, min(stop - start, _BLOCK_ELEMS // n))
     candidates = n >= _BLOCK_ELEMS  # rows is then 1
+    # every candidate replicate's threshold asks for this quantile
+    isf = _cutoff_quantile(model, alpha) if candidates else None
     lead = int(plan.conditional_z is None)  # z's uniform leads each row
     u = np.empty((rows, lead + (0 if candidates
                                 else _uniform_count(model, config))))
@@ -174,14 +178,16 @@ def _simulate_chunk(plan: SimulationPlan, start: int, stop: int,
             zb[:] = [_disturbance_quantile(model, x)
                      for x in ub[:, 0].tolist()]
         if candidates:  # one replicate, and rng is on its substream
-            p, nulls = _sample_candidates(model, config, float(zb[0]), alpha,
-                                          rng)
+            m, v = np.array(_candidate_counts(
+                model, config, float(zb[0]), alpha, plan.procedure, rng,
+                isf))[:, None]
         else:
             p, nulls = _sample_block(model, config, zb, ub[:, lead:], alpha)
-        m = count(p, alpha, n)
-        # where m = 0 no p-value is at or below alpha/n, so none at 0
-        null = np.arange(p.shape[1]) < nulls[:, None]
-        v = np.count_nonzero(null & (p <= (m * alpha / n)[:, None]), axis=1)
+            m = count(p, alpha, n)
+            # where m = 0 no p-value is at or below alpha/n, so none at 0
+            null = np.arange(p.shape[1]) < nulls[:, None]
+            v = np.count_nonzero(null & (p <= (m * alpha / n)[:, None]),
+                                 axis=1)
         fdp = np.where(m > 0, v / np.maximum(m, 1), 0.0)
         v_n, r_n = v / n, m / n
         terms = np.column_stack((fdp, fdp * fdp, v_n, v_n * v_n, v,

@@ -16,6 +16,9 @@ import numpy as np
 
 __all__ = ["PValueSample", "RejectionResult", "lsu", "lsd", "ecdf"]
 
+# rank intervals `_probed_counts` probes per level
+_PROBES = 64
+
 
 @dataclass(frozen=True)
 class PValueSample:
@@ -121,6 +124,82 @@ def _stepdown_count(pvalues, alpha: float,
     from the first.  Laid out as `_stepup_count`."""
     ok = _passes(pvalues, alpha, n)
     return np.logical_and.accumulate(ok, axis=-1).sum(axis=-1)
+
+
+def _probed_counts(sorted_at, size: int, others: np.ndarray, alpha: float,
+                   n: int, stepdown: bool, slack: float) -> tuple[int, int]:
+    """(m, v): the step-up (or step-down) rejection count at level alpha of
+    size searched p-values and the ascending array others, with critical
+    values k*alpha/n, and how many searched ones it rejects.
+
+    sorted_at(i) gives the searched p-values at the 0-based positions i
+    (an array) of an order that is ascending up to a relative slack: none
+    exceeds (1 + slack) times one after it.  Rank k passes when the
+    p-values at or below c_k number at least k, that is when the j-th
+    smallest searched one, j = k - (others at or below c_k), is at or
+    below c_k.  The search probes _PROBES rank intervals [a, b] per level
+    and descends only where a rank can decide m: for the step-up the
+    highest interval whose smallest needed p-value can be at or below c_b,
+    for the step-down the lowest one whose largest needed p-value can
+    exceed c_a.  Where the slack leaves a rank's test open, the searched
+    p-values at or below c_k are counted in full.  Every rejected p-value
+    lies at or below c_m, and m of them do, so v = m - (others <= c_m).
+    """
+    total = size + others.size
+    grow = 1.0 + slack
+
+    def crit(ranks):  # the doubles of _critical(alpha, total, n) at ranks
+        return alpha * ranks / n
+
+    def needed(ranks, c):
+        # (j, the j-th smallest searched p-value): -inf where the others
+        # alone fill the rank, inf where the searched ones fall short
+        j = ranks - np.searchsorted(others, c, side="right")
+        q = np.where(j > 0, np.inf, -np.inf)
+        inside = (j > 0) & (j <= size)
+        if inside.any():
+            q[inside] = sorted_at(j[inside] - 1)
+        return j, q
+
+    def ranks_pass(ranks):
+        c = crit(ranks)
+        j, q = needed(ranks, c)
+        ok = q * grow <= c
+        open_ = ~ok & (q <= c * grow)
+        if open_.any():  # count in full
+            every = np.sort(sorted_at(np.arange(size)))
+            ok[open_] = np.searchsorted(every, c[open_], side="right") \
+                >= j[open_]
+        return ok
+
+    # disjoint rank intervals, the one to search next on top: the highest
+    # for the step-up, the lowest for the step-down
+    stack = [(1, total)]
+    while stack:
+        a, b = stack.pop()
+        if b - a < _PROBES:
+            ranks = np.arange(a, b + 1)
+            ok = ranks_pass(ranks)
+            if stepdown and not ok.all():
+                m = int(ranks[~ok][0]) - 1
+                break
+            if not stepdown and ok.any():
+                m = int(ranks[ok][-1])
+                break
+            continue
+        edges = np.linspace(a, b + 1, _PROBES + 1).astype(np.int64)
+        starts, ends = edges[:-1], edges[1:] - 1
+        if stepdown:
+            c = crit(starts)
+            live = needed(ends, c)[1] * grow > c
+            stack.extend(zip(starts[live][::-1], ends[live][::-1]))
+        else:
+            c = crit(ends)
+            live = needed(starts, c)[1] <= c * grow
+            stack.extend(zip(starts[live], ends[live]))
+    else:
+        m = total if stepdown else 0
+    return m, m - int(np.searchsorted(others, crit(m), side="right"))
 
 
 def lsu(sample: PValueSample, alpha: float) -> RejectionResult:

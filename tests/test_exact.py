@@ -256,10 +256,31 @@ class TestRestrictedIdentity:
         se = math.sqrt(max(lhs * (1.0 - lhs), 1e-6) / 400000)
         assert abs(lhs - rhs) < 3 * se
 
+    def test_r_counts_a_critical_value_at_t_star(self, monkeypatch):
+        # at this n, n*t_star/alpha for t_star = c_k rounds below k by more
+        # than 1e-12; r still counts c_k, so the bounds start above t_star
+        n, alpha, k = 18_769, 0.34045096029451377, 18_621
+        t_star = float(_critical(alpha, n)[k - 1])
+        assert n * t_star / alpha + 1e-12 < k
+        bounds = []
+        bnp = exact.boundary_noncrossing_prob
+
+        def spy(spec, null_cdf):
+            bounds.append(spec.lower_bounds)
+            return bnp(spec, null_cdf)
+
+        monkeypatch.setattr(exact, "boundary_noncrossing_prob", spy)
+        # n - n0 < k, so the exact side runs its recursion, at m = 200
+        spec = LinearNullSpec(gamma=1.0, n0=201, n=n, t_star=t_star)
+        lhs, rhs = restricted_fdr_check(spec, alpha, replicates=2000)
+        assert len(bounds) == 1 and len(bounds[0]) == n - k
+        assert bounds[0][0] > t_star
+        assert 0.0 < rhs < spec.n0 / n * alpha
+
     def test_null_cdf_asked_only_above_t_star(self, monkeypatch):
         # the exact side's null cdf is affine, which holds above t_star
-        # only; every bound (j+1)*alpha/n, j >= r, lies there while the
-        # 1e-12 in r tops the rounding of n*t_star/alpha (n <= 150 here)
+        # only; every bound (j+1)*alpha/n, j >= r, lies there, as r counts
+        # the critical values at or below t_star
         asked, t_top = [], [0.0]
         bnp = exact.boundary_noncrossing_prob
 

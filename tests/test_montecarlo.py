@@ -29,7 +29,7 @@ from lsufdr.montecarlo import (
     convergence_study,
     run,
 )
-from lsufdr.stepup import PValueSample, lsd, lsu
+from lsufdr.stepup import PValueSample, _PROBES, lsd, lsu
 
 EXPO_PLAN = SimulationPlan(model=ModelSpec.exponential(),
                            config=ExtremeConfig(n=50, zeta=0.5, seed=99),
@@ -809,9 +809,34 @@ def chi2_two_sample(a, b, level):
     return stat, specfun.chi_quantile(1.0 - level, table.shape[1] - 1) ** 2
 
 
+class DrawLog:
+    """A generator's stand-in that logs each draw: ("binomial", count, k)
+    or ("random",)."""
+
+    def __init__(self, rng):
+        self.rng, self.log = rng, []
+
+    def binomial(self, count, p):
+        k = self.rng.binomial(count, p)
+        self.log.append(("binomial", count, k))
+        return k
+
+    def random(self, size=None):
+        self.log.append(("random",))
+        return self.rng.random(size)
+
+    def nulls_in_full(self):
+        """Whether the nulls kept every uniform: K = count, or the rest
+        was drawn after the candidates and the guard."""
+        _, count, k = self.log[0]
+        nulls = next((i for i, entry in enumerate(self.log[1:], 1)
+                      if entry[0] == "binomial"), len(self.log))
+        return k == count or nulls == 4
+
+
 class TestCandidateRoute:
     """From n = _BLOCK_ELEMS on, a replicate draws only its candidates
-    (`models._sample_candidates`): a new random stream, so the route is
+    (`models._candidate_counts`): a new random stream, so the route is
     compared with the row route in law.  The tests force it at small n
     through `montecarlo._BLOCK_ELEMS`."""
 
@@ -828,7 +853,7 @@ class TestCandidateRoute:
         with monkeypatch.context() as patch:
             patch.setattr(montecarlo, "_BLOCK_ELEMS", plan.config.n)
             if spy is not None:
-                patch.setattr(montecarlo, "_sample_candidates", spy)
+                patch.setattr(montecarlo, "_candidate_counts", spy)
             cand = run(plan, keep_replicates=True, workers=1)
         row = run(dataclasses.replace(
             plan, replicates=row_reps or plan.replicates,
@@ -853,13 +878,14 @@ class TestCandidateRoute:
         # a negative margin drops uniforms whose p-values are <= alpha;
         # a passing guard draws the rest and keeps every null
         monkeypatch.setattr(models, "_U_MARGIN", -0.05)
-        sample = montecarlo._sample_candidates
+        counts = montecarlo._candidate_counts
         full = []
 
-        def spy(model, config, z, cutoff, rng):
-            p, nulls = sample(model, config, z, cutoff, rng)
-            full.append(nulls[0] == config.n0)
-            return p, nulls
+        def spy(model, config, z, cutoff, procedure, rng, isf):
+            draws = DrawLog(rng)
+            out = counts(model, config, z, cutoff, procedure, draws, isf)
+            full.append(draws.nulls_in_full())
+            return out
 
         passed = []
         # the t kernels cost 2.5 ms per replicate here
@@ -892,13 +918,13 @@ class TestCandidateRoute:
         # vector's counts on the same substreams; at it, the candidates'
         # z is still draw_disturbance's
         seen = []
-        sample = montecarlo._sample_candidates
+        counts = montecarlo._candidate_counts
 
-        def spy(model, config, z, cutoff, rng):
+        def spy(model, config, z, cutoff, procedure, rng, isf):
             seen.append(z)
-            return sample(model, config, z, cutoff, rng)
+            return counts(model, config, z, cutoff, procedure, rng, isf)
 
-        monkeypatch.setattr(montecarlo, "_sample_candidates", spy)
+        monkeypatch.setattr(montecarlo, "_candidate_counts", spy)
         model = ModelSpec.normal(0.3)
         n = montecarlo._BLOCK_ELEMS
         below = _plan(model, n - 1, 0.9, 0.05, 6, 730)
@@ -911,3 +937,110 @@ class TestCandidateRoute:
         run(at, workers=1)
         assert seen == [draw_disturbance(model, make_rng(730, i))
                         for i in range(6)]
+
+
+class TestCandidateSearch:
+    """On the candidate route, the search's (m, v) equal, bit for bit, a
+    count on every kept p-value of the same draws, evaluated and sorted: a
+    spy on `models._probed_counts` runs both on each call."""
+
+    # (model, n, zeta, alpha, conditional z, replicates)
+    CASES = {
+        "normal": (ModelSpec.normal(0.3), 2000, 0.75, 0.1, -1.0, 300),
+        "normal_all_null": (ModelSpec.normal(0.3), 2000, 1.0, 0.1, -1.5, 300),
+        "student_t": (ModelSpec.student_t(4.0), 1000, 0.75, 0.2, 0.8, 60),
+        "exponential": (ModelSpec.exponential(), 2000, 0.5, 0.1, 0.4, 300),
+        "exponential_shift": (ModelSpec.exponential(false_theta=2.0), 2000,
+                              0.75, 0.1, 0.4, 300),
+        "exponential_shift_no_nulls": (ModelSpec.exponential(false_theta=1.0),
+                                       500, 0.0, 0.1, 0.4, 200),
+    }
+
+    @staticmethod
+    def checked(monkeypatch):
+        """The (search, reference, searched size) of every search."""
+        calls = []
+        probed = models._probed_counts
+
+        def spy(sorted_at, size, others, alpha, n, stepdown, slack):
+            got = probed(sorted_at, size, others, alpha, n, stepdown, slack)
+            p = np.concatenate((sorted_at(np.arange(size)), others))
+            ref = (lsd if stepdown else lsu)(
+                PValueSample(p, np.arange(p.size) < size, n), alpha)
+            calls.append((got, (ref.m, ref.v), size))
+            return got
+
+        monkeypatch.setattr(models, "_probed_counts", spy)
+        return calls
+
+    def run_forced(self, monkeypatch, model, n, zeta, alpha, z, reps,
+                   seed=750):
+        """Every search of lsu and lsd runs, unconditional and at z."""
+        calls = self.checked(monkeypatch)
+        monkeypatch.setattr(montecarlo, "_BLOCK_ELEMS", n)
+        for i, (procedure, cond) in enumerate(
+                (p, c) for p in ("lsu", "lsd") for c in (None, z)):
+            plan = _plan(model, n, zeta, alpha, reps, seed + i,
+                         conditional_z=cond, procedure=procedure)
+            run(plan, workers=1)
+            assert len(calls) >= (i + 1) * reps  # twice if a guard passes
+        assert [got for got, _, _ in calls] == [ref for _, ref, _ in calls]
+        return calls
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_matches_sorted_count(self, monkeypatch, name):
+        calls = self.run_forced(monkeypatch, *self.CASES[name])
+        m = np.array([got[0] for got, _, _ in calls])
+        assert (m > 0).any()
+        # deep enough for a second level of probes where there are nulls
+        assert max(size for _, _, size in calls) > 2 * _PROBES \
+            or self.CASES[name][2] == 0.0
+
+    def test_no_candidates(self, monkeypatch):
+        calls = self.run_forced(monkeypatch, ModelSpec.normal(0.3), 40, 1.0,
+                                0.02, 0.5, 400)
+        sizes = [size for _, _, size in calls]
+        assert 0 in sizes and max(sizes) > 0
+
+    def test_guard_fallback(self, monkeypatch):
+        # a passing guard settles after the first search, which then runs
+        # again on every null
+        monkeypatch.setattr(models, "_U_MARGIN", -0.05)
+        for model, n, reps in ((ModelSpec.normal(0.3), 200, 200),
+                               (ModelSpec.student_t(5.0), 120, 60),
+                               (ModelSpec.exponential(false_theta=1.0), 200,
+                                200)):
+            calls = self.run_forced(monkeypatch, model, n, 0.8, 0.2, 0.1,
+                                    reps)
+            full = sum(size == ExtremeConfig(n, 0.8, 1).n0
+                       for _, _, size in calls)
+            assert 0 < full < len(calls)
+
+    def test_open_rank_tests(self, monkeypatch):
+        # a wide slack leaves many rank tests open, and they count in full
+        monkeypatch.setattr(models, "_P_SLACK", 0.5)
+        self.run_forced(monkeypatch, ModelSpec.normal(0.3), 2000, 0.75, 0.1,
+                        -1.0, 200)
+
+    @pytest.mark.parametrize("model,z,cutoff", [
+        (ModelSpec.normal(0.1), -2.0, 0.05),
+        (ModelSpec.normal(0.1), 1.0, 0.05),
+        (ModelSpec.normal(0.95), 0.0, 0.05),
+        (ModelSpec.student_t(5.0), 0.7, 0.05),
+        (ModelSpec.student_t(5.0), 1.4, 0.2),
+        (ModelSpec.exponential(), 0.3, 0.1),
+        (ModelSpec.exponential(), -2.0, 0.1),  # shifted alternatives
+    ])
+    def test_kernel_order_within_slack(self, model, z, cutoff):
+        # runs of consecutive doubles across the candidates' range [lo, 1):
+        # p falls as u rises, up to rounding far inside _P_SLACK
+        lo = float(models._threshold(model, cutoff, z))
+        rng = np.random.default_rng(41)
+        anchors = np.concatenate((
+            lo + (1.0 - lo) * rng.random(30),
+            1.0 - np.logspace(-15.0, math.log10(1.0 - lo), 30)))
+        u = (anchors.view(np.int64)[:, None] + np.arange(300)).view(
+            np.float64)
+        p = _null_pvalues(model, z, np.minimum(u, 1.0 - 1e-16).ravel())
+        p = p.reshape(u.shape)
+        assert np.all(p[:, 1:] <= p[:, :-1] * (1.0 + models._P_SLACK / 1e3))

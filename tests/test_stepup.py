@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from lsufdr.stepup import PValueSample, _stepup_count, ecdf, lsd, lsu
+from lsufdr.stepup import (PValueSample, _PROBES, _critical, _probed_counts,
+                           _stepup_count, ecdf, lsd, lsu)
 
 
 def make_sample(pvalues, nulls=None):
@@ -268,3 +269,92 @@ class TestHeldTail:
                          is_true_null=np.array([True, True]), n=1)
         with pytest.raises(ValueError):
             PValueSample(pvalues=np.empty(0), is_true_null=np.empty(0, bool))
+
+
+class TestProbedCounts:
+    """The search's (m, v) equal lsu's and lsd's on the whole vector, the
+    searched p-values counted as true nulls and the others as false."""
+
+    @staticmethod
+    def both(searched, others, alpha, n, stepdown, slack):
+        """(the search's (m, v), the reference's (m, v), the sizes of the
+        position arrays it asked for)"""
+        asked = []
+
+        def at(i):
+            asked.append(i.size)
+            return searched[i]
+
+        got = _probed_counts(at, searched.size, others, alpha, n, stepdown,
+                             slack)
+        p = np.concatenate((searched, others))
+        ref = (lsd if stepdown else lsu)(
+            PValueSample(p, np.arange(p.size) < searched.size, n), alpha)
+        return got, (ref.m, ref.v), asked
+
+    def test_matches_full_count(self):
+        rng = np.random.default_rng(31)
+        deep = []
+        for _ in range(1500):
+            size = int(rng.choice([0, 1, 63, 64, 65, 200, 4097, 20000]))
+            alpha = float(rng.uniform(0.01, 0.5))
+            # concave ecdfs, crossing Simes' line anywhere
+            searched = np.sort(min(1.0, alpha * rng.uniform(0.3, 30.0))
+                               * rng.random(size) ** rng.choice([1, 2, 3]))
+            count = int(rng.choice([0, 1, 50, 3000]))
+            others = np.zeros(count) if rng.random() < 0.5 \
+                else np.sort(rng.uniform(0.0, 2.0 * alpha, count))
+            total = size + count
+            n = max(total, 1) + int(rng.integers(0, 2 * max(total, 1)))
+            stepdown = bool(rng.random() < 0.5)
+            got, ref, asked = self.both(searched, others, alpha, n, stepdown,
+                                        1e-9)
+            assert got == ref, (size, count, n, stepdown)
+            if size == 20000:
+                deep.append((ref[0], sum(asked)))
+        # crossings at every depth, each found from a few hundred elements
+        m, asked = np.array(deep).T
+        assert (m == 0).any() and (m > 1000).sum() > 20
+        assert asked.max() <= 8 * _PROBES
+
+    def test_ties_at_critical_values(self):
+        rng = np.random.default_rng(32)
+        for _ in range(300):
+            n = int(rng.integers(1, 400))
+            alpha = float(rng.uniform(0.01, 0.5))
+            crit = _critical(alpha, n)
+            searched = np.sort(crit[rng.integers(0, n, int(rng.integers(
+                0, n + 1)))])
+            others = np.sort(crit[rng.integers(0, n, int(rng.integers(
+                0, n - searched.size + 1)))])
+            for stepdown in (False, True):
+                got, ref, _ = self.both(searched, others, alpha, n, stepdown,
+                                        1e-9)
+                assert got == ref
+
+    def test_order_within_slack(self):
+        # searched p-values out of order by up to a third of the slack,
+        # many of them at a critical value, and from rank 300 on several
+        # critical values to a slack's width: rank tests stay open and
+        # count in full, and intervals there must not be dropped
+        rng = np.random.default_rng(33)
+        slack = 1e-2
+        opened = 0
+        for _ in range(400):
+            n = int(rng.integers(2 * _PROBES, 6000))
+            alpha = float(rng.uniform(0.01, 0.5))
+            crit = _critical(alpha, n)
+            size = int(rng.integers(_PROBES + 1, n + 1))
+            searched = np.sort(alpha * rng.random(size) ** 2)
+            near = rng.random(size) < 0.3
+            searched[near] = crit[rng.integers(0, n, near.sum())]
+            searched = np.sort(searched) * (
+                1.0 + rng.uniform(-1.0, 1.0, size) * slack / 3.0)
+            others = np.zeros(int(rng.integers(0, n - size + 1)))
+            stepdown = bool(rng.random() < 0.5)
+            got, ref, asked = self.both(np.minimum(searched, 1.0), others,
+                                        alpha, n, stepdown, slack)
+            assert got == ref, (n, size, others.size, stepdown)
+            # past _PROBES, only a count in full asks for every position
+            opened += size in asked
+        assert opened > 20
