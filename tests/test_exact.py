@@ -277,6 +277,15 @@ class TestRestrictedIdentity:
         assert bounds[0][0] > t_star
         assert 0.0 < rhs < spec.n0 / n * alpha
 
+    def test_t_star_at_alpha_counts_every_rank(self):
+        # n*alpha/alpha rounds below n here: r is still n, so the exact
+        # side is the closed form, past the recursion's window of m <= 200
+        n, alpha = 58_631, 0.021995829512441875
+        assert n * alpha / alpha + 1e-12 < n
+        spec = LinearNullSpec(gamma=1.0, n0=300, n=n, t_star=1.0)
+        assert restricted_fdr_check(spec, alpha, replicates=20)[1] \
+            == spec.n0 / n * alpha
+
     def test_null_cdf_asked_only_above_t_star(self, monkeypatch):
         # the exact side's null cdf is affine, which holds above t_star
         # only; every bound (j+1)*alpha/n, j >= r, lies there, as r counts
