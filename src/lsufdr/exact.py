@@ -19,8 +19,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .models import _check_count, make_rng
-from .stepup import _check_alpha, _critical, _last_pass
+from .models import make_rng
+from .stepup import _check_alpha, _check_count, _critical, _last_pass
 
 __all__ = [
     "LinearNullSpec",
@@ -32,8 +32,8 @@ __all__ = [
 
 _EXACT_M_LIMIT = 200
 # relative slack of a few ulps with which a critical value counts as at or
-# below t_star: a t_star formed as k*alpha/n in another order may round
-# below c_k
+# below t_star, and t_star as alpha: a t_star formed as k*alpha/n in
+# another order may round below c_k
 _RANK_SLACK = 4.0 * sys.float_info.epsilon
 
 
@@ -81,7 +81,7 @@ class BoundarySpec:
 def exact_fdr_linear(spec: LinearNullSpec, alpha: float) -> float:
     """Step-up FDR under full-range linearity: (n0/n)*gamma*alpha."""
     alpha = _check_alpha(alpha)
-    if abs(spec.t_star - alpha) > 1e-12:
+    if abs(spec.t_star - alpha) > _RANK_SLACK * alpha:
         raise ValueError("exact_fdr_linear needs linearity on all of "
                          "[0, alpha] (t_star = alpha)")
     if spec.gamma * alpha > 1.0 + 1e-12:

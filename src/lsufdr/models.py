@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun as sf
-from .stepup import PValueSample, _check_alpha, _probed_counts
+from .stepup import PValueSample, _check_alpha, _check_count, _probed_counts
 
 __all__ = [
     "NORMAL",
@@ -122,18 +122,6 @@ class ExtremeConfig:
     @property
     def zeta_n(self) -> float:
         return self.n0 / self.n
-
-
-def _check_count(value, name: str, low: int) -> int:
-    """value as an int, once it is integral (10.0 passes, 10.7 and True
-    do not) and at least low."""
-    try:
-        count = None if isinstance(value, (bool, np.bool_)) else int(value)
-    except (TypeError, ValueError, OverflowError):
-        count = None
-    if count is None or count != value or count < low:
-        raise ValueError(f"{name} must be an integer of at least {low}")
-    return count
 
 
 def _floats(x):
@@ -585,12 +573,11 @@ def _cutoff_quantile(model: ModelSpec, cutoff: float):
 
 
 def _threshold(model: ModelSpec, cutoff: float, z, isf=None):
-    """The smallest uniform kept at disturbance z (a float or an array):
-    1 - F_inf(cutoff | z) less _U_MARGIN, clipped as the uniforms are;
-    isf as `_null_cdf` takes it."""
-    f = _null_cdf(model, cutoff, z, isf) if cutoff < 1.0 \
-        else np.ones_like(z)
-    return np.clip(1.0 - f - _U_MARGIN, _U_TINY, 1.0 - _U_TINY)
+    """The smallest uniform kept at disturbance z (a float or an array)
+    for a cutoff in (0, 1): 1 - F_inf(cutoff | z) less _U_MARGIN,
+    clipped as the uniforms are; isf as `_null_cdf` takes it."""
+    return np.clip(1.0 - _null_cdf(model, cutoff, z, isf) - _U_MARGIN,
+                   _U_TINY, 1.0 - _U_TINY)
 
 
 def _kept_pvalues(model: ModelSpec, z: np.ndarray, u: np.ndarray,
@@ -747,14 +734,15 @@ def _sample_block(model: ModelSpec, config: ExtremeConfig, z: np.ndarray,
 
 def _assemble(model: ModelSpec, config: ExtremeConfig, z: float,
               rng: np.random.Generator):
-    """One replicate's full p-value vector given z, nulls first: the
-    one-row case of `_sample_block`, at cutoff 1, on uniforms drawn
-    from rng."""
-    u = rng.random((1, _uniform_count(model, config)))
-    p, nulls = _sample_block(model, config, np.array([float(z)]), u, 1.0)
-    return PValueSample(pvalues=p[0],
-                        is_true_null=np.arange(p.shape[1]) < nulls[0],
-                        n=config.n)
+    """One replicate's full p-value vector given z, on the uniforms it
+    draws from rng, clipped as the engine's are: nulls at z, then falses,
+    exact zeros unless shifted, as nulls at z - false_theta."""
+    u = rng.random(_uniform_count(model, config))
+    at = np.full(u.size, float(z))
+    at[config.n0:] -= model.false_theta or 0.0  # empty unless shifted
+    p = np.zeros(config.n)
+    p[:u.size] = _null_pvalues(model, at, np.clip(u, _U_TINY, 1.0 - _U_TINY))
+    return PValueSample(p, np.arange(config.n) < config.n0)
 
 
 def sample_pvalues(model: ModelSpec, config: ExtremeConfig):

@@ -49,10 +49,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .models import ExtremeConfig, ModelSpec, make_rng, _assemble, \
-    _candidate_counts, _check_count, _check_z, _cutoff_quantile, \
-    _disturbance_quantile, _null_cdf, _rekey, _sample_block, \
-    _substream_keys, _uniform_count, f_infinity
-from .stepup import _check_alpha, _stepdown_count, _stepup_count
+    _candidate_counts, _check_z, _cutoff_quantile, _disturbance_quantile, \
+    _null_cdf, _rekey, _sample_block, _substream_keys, _uniform_count, \
+    f_infinity
+from .stepup import _check_alpha, _check_count, _stepdown_count, _stepup_count
 # lsu and lsd stay bound here: perfbench/tracing.py wraps them
 from .stepup import lsd, lsu  # noqa: F401
 
@@ -263,7 +263,7 @@ def convergence_study(plan: SimulationPlan, n_grid) -> list[ConvergenceRow]:
     """
     rows = []
     for n in n_grid:
-        cfg = replace(plan.config, n=int(n))
+        cfg = replace(plan.config, n=n)
         summary = run(replace(plan, config=cfg), keep_replicates=False)
         supdist = None
         if plan.conditional_z is not None and cfg.zeta > 0.0:

@@ -38,7 +38,7 @@ class PValueSample:
     def __post_init__(self):
         pv = np.asarray(self.pvalues, dtype=np.float64)
         labels = np.asarray(self.is_true_null, dtype=bool)
-        n = pv.size if self.n is None else int(self.n)
+        n = _check_count(pv.size if self.n is None else self.n, "n", 0)
         if pv.ndim != 1 or n == 0:
             raise ValueError("pvalues must be a nonempty one-dimensional vector")
         if pv.size > n:
@@ -75,6 +75,18 @@ def _check_alpha(alpha: float) -> float:
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
     return alpha
+
+
+def _check_count(value, name: str, low: int) -> int:
+    """value as an int, once it is integral (10.0 passes, 10.7 and True
+    do not) and at least low."""
+    try:
+        count = None if isinstance(value, (bool, np.bool_)) else int(value)
+    except (TypeError, ValueError, OverflowError):
+        count = None
+    if count is None or count != value or count < low:
+        raise ValueError(f"{name} must be an integer of at least {low}")
+    return count
 
 
 def _result(sample: PValueSample, m: int, alpha: float) -> RejectionResult:

@@ -44,6 +44,13 @@ class TestExactFdrLinear:
         spec = LinearNullSpec(gamma=1.0, n0=5, n=5, t_star=0.05)
         with pytest.raises(ValueError):
             exact_fdr_linear(spec, 0.1)
+        # at a tiny alpha, t_star = alpha/10 lies within 1e-12 of alpha,
+        # but the null cdf is linear on only a tenth of [0, alpha]
+        spec = LinearNullSpec(gamma=5.0, n0=5, n=10, t_star=1e-13)
+        with pytest.raises(ValueError):
+            exact_fdr_linear(spec, 1e-12)
+        spec = LinearNullSpec(gamma=5.0, n0=5, n=10, t_star=1e-12)
+        assert exact_fdr_linear(spec, 1e-12) == 0.5 * 5.0 * 1e-12
 
     def test_slope_cap(self):
         with pytest.raises(ValueError):

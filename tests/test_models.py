@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -451,6 +452,26 @@ class TestSampling:
             for z in (-math.inf, -2.0, -0.0, 0.0):
                 assert disturbance_cdf(spec, z) == 0.0
         assert disturbance_cdf(NORMAL, -math.inf) == 0.0
+
+    def test_sampler_digest(self):
+        # the full-vector sampler's bits, pinned: the sha256 of each draw's
+        # p-values, labels and (unconditional) z in turn, at seed 13
+        h = hashlib.sha256()
+        for spec, z in ((ModelSpec.normal(0.3), -0.5),
+                        (ModelSpec.student_t(4.0), 0.8),
+                        (ModelSpec.exponential(), 0.4),
+                        (ModelSpec.exponential(false_theta=1.5), 0.4)):
+            for n in (1, 7, 200):
+                for zeta in (0.0, 0.75, 1.0):
+                    cfg = ExtremeConfig(n=n, zeta=zeta, seed=13)
+                    sample, drawn = sample_pvalues(spec, cfg)
+                    pinned = sample_pvalues_conditional(spec, cfg, z)
+                    for s in (sample, pinned):
+                        h.update(s.pvalues.astype("<f8").tobytes())
+                        h.update(s.is_true_null.tobytes())
+                    h.update(np.float64(drawn).astype("<f8").tobytes())
+        assert h.hexdigest() == ("20d665f31259539acffbb1a4fc8c44a9"
+                                 "102db28a04e9ca9c1485ae5d34a8964d")
 
     def test_exponential_finite_shift_alternatives(self):
         spec = ModelSpec.exponential(false_theta=3.0)

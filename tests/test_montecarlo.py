@@ -230,6 +230,18 @@ class TestConvergenceStudy:
         assert all(r.sup_distance is None for r in rows)
         assert [r.n for r in rows] == [50, 100]
 
+    def test_integral_n_grid(self):
+        # each n goes to ExtremeConfig as it is, which refuses a fractional
+        # or bool n rather than truncating it
+        plan = SimulationPlan(model=ModelSpec.exponential(),
+                              config=ExtremeConfig(n=10, zeta=0.5, seed=3),
+                              alpha=0.1, replicates=5)
+        assert [r.n for r in convergence_study(plan, [20.0, np.int64(30)])] \
+            == [20, 30]
+        for n in (10.7, True):
+            with pytest.raises(ValueError, match="n must be an integer"):
+                convergence_study(plan, [n])
+
     def test_zeta_zero_rows(self):
         plan = SimulationPlan(model=ModelSpec.exponential(),
                               config=ExtremeConfig(n=10, zeta=0.0, seed=3),
@@ -293,7 +305,8 @@ class TestTailOnlyEngine:
 
     @staticmethod
     def both(model, cfg, z, cutoff, key=0):
-        # the tail sample is `_assemble`'s one row at this cutoff, not 1
+        # the tail sample is `_sample_block`'s one row at this cutoff, on
+        # the uniforms `_assemble` draws for the full vector
         rng = make_rng(cfg.seed, key)
         u = rng.random((1, _uniform_count(model, cfg)))
         p, nulls = _sample_block(model, cfg, np.array([float(z)]), u, cutoff)

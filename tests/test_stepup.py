@@ -270,6 +270,15 @@ class TestHeldTail:
         with pytest.raises(ValueError):
             PValueSample(pvalues=np.empty(0), is_true_null=np.empty(0, bool))
 
+    def test_integral_n(self):
+        # a truncated n = 2 would test against the critical values k*alpha/2
+        pv, nulls = np.array([0.01, 0.02]), np.array([True, False])
+        s = PValueSample(pvalues=pv, is_true_null=nulls, n=3.0)
+        assert type(s.n) is int and s.n == 3
+        for n in (2.5, True, np.True_, "3", float("nan")):
+            with pytest.raises(ValueError, match="n must be an integer"):
+                PValueSample(pvalues=pv, is_true_null=nulls, n=n)
+
 
 class TestProbedCounts:
     """The search's (m, v) equal lsu's and lsd's on the whole vector, the
