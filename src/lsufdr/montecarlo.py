@@ -3,11 +3,11 @@
 Each replicate owns a counter-based generator substream derived from
 (seed, replicate index), so results are bit-identical for a given plan
 regardless of how replicates are distributed over workers.  Replicates
-are processed in fixed-size chunks whose partial sums are merged in
-chunk order.  A chunk derives the Philox keys of all its replicates at
-once, with numpy's SeedSequence hash run on uint32 arrays
-(`models._substream_keys`), so replicate i draws exactly what
-make_rng(seed, i) would.
+are processed in fixed-size chunks, each of which returns its
+replicates' (m, v) = (R, V) in order.  A chunk derives the Philox keys
+of all its replicates at once, with numpy's SeedSequence hash run on
+uint32 arrays (`models._substream_keys`), so replicate i draws exactly
+what make_rng(seed, i) would.
 
 Replicates are tail-only.  The step-up procedures at level alpha only
 ever reject p-values at or below alpha (the largest critical value),
@@ -33,10 +33,10 @@ and counted depends on n alone:
   full vector in law, not in bits.  At small n its per-replicate calls
   cost more than the draws they save.
 
-On the row route, thresholds, p-values, the padded sort, the step-up
-counts and the histogram run once per block.  On both, the block's
-terms are added to the running sums in replicate order, so the sums
-are those of one replicate at a time.
+On the row route, thresholds, p-values, the padded sort and the step-up
+counts run once per block.  `run` alone reduces the counts: it forms
+each chunk's FDPs, histogram and terms, and adds the terms to the
+running sums one replicate at a time, in replicate order.
 """
 
 from __future__ import annotations
@@ -110,7 +110,9 @@ class SimulationSummary:
             "ene_hat": self.ene_hat,
             "r_over_n_hat": self.r_over_n_hat,
             "fdp_histogram": [int(c) for c in self.fdp_histogram],
-            "standard_errors": dict(sorted(self.standard_errors.items())),
+            # an undefined SE (below two replicates) is null, not NaN
+            "standard_errors": {k: None if math.isnan(se) else se for k, se
+                                in sorted(self.standard_errors.items())},
             "seed": self.seed,
             "replicates": self.replicates,
         }
@@ -130,9 +132,10 @@ def worker_count() -> int:
     raw = os.environ.get(WORKERS_ENV)
     if raw:
         try:
-            return max(1, int(raw))
+            count = int(raw)
         except ValueError:
             raise ValueError(f"{WORKERS_ENV} must be an integer")
+        return _check_count(count, WORKERS_ENV, 1)
     return max(1, os.cpu_count() or 1)
 
 
@@ -141,7 +144,8 @@ def _pool_map(fn, *iterables, workers=None):
     worker_count() (or workers) processes when there are several
     workers and at least two calls."""
     args = [list(it) for it in iterables]
-    nworkers = worker_count() if workers is None else max(1, int(workers))
+    nworkers = worker_count() if workers is None \
+        else _check_count(workers, "workers", 1)
     if nworkers > 1 and min(map(len, args)) > 1:
         with ProcessPoolExecutor(max_workers=nworkers) as pool:
             yield from pool.map(fn, *args)
@@ -149,8 +153,8 @@ def _pool_map(fn, *iterables, workers=None):
         yield from map(fn, *args)
 
 
-def _simulate_chunk(plan: SimulationPlan, start: int, stop: int,
-                    keep: bool):
+def _simulate_chunk(plan: SimulationPlan, start: int, stop: int):
+    """Each replicate's (m, v), in order: a (2, stop - start) int64 array."""
     model, config, alpha = plan.model, plan.config, plan.alpha
     n = config.n
     count = _stepup_count if plan.procedure == "lsu" else _stepdown_count
@@ -164,13 +168,11 @@ def _simulate_chunk(plan: SimulationPlan, start: int, stop: int,
     z = np.full(rows, math.nan if lead else float(plan.conditional_z))
     rng = make_rng(config.seed)  # rekeyed before every replicate
     keys = _substream_keys(config.seed, range(start, stop))
-    sums = np.zeros(8)  # fdp, fdp^2, v/n, (v/n)^2, v, r/n, (r/n)^2, r
-    hist = np.zeros(_HIST_BINS, dtype=np.int64)
-    kept_v = np.empty(stop - start, dtype=np.int64) if keep else None
-    kept_r = np.empty(stop - start, dtype=np.int64) if keep else None
+    mv = np.empty((2, stop - start), dtype=np.int64)
     for first in range(start, stop, rows):
         size = min(rows, stop - first)
         zb, ub = z[:size], u[:size]
+        out = mv[:, first - start:first - start + size]
         for j in range(size):
             _rekey(rng, keys[first - start + j])
             rng.random(out=ub[j])  # a candidate row holds z's uniform only
@@ -178,29 +180,16 @@ def _simulate_chunk(plan: SimulationPlan, start: int, stop: int,
             zb[:] = [_disturbance_quantile(model, x)
                      for x in ub[:, 0].tolist()]
         if candidates:  # one replicate, and rng is on its substream
-            m, v = np.array(_candidate_counts(
-                model, config, float(zb[0]), alpha, plan.procedure, rng,
-                isf))[:, None]
+            out[:, 0] = _candidate_counts(model, config, float(zb[0]), alpha,
+                                          plan.procedure, rng, isf)
         else:
             p, nulls = _sample_block(model, config, zb, ub[:, lead:], alpha)
-            m = count(p, alpha, n)
+            out[0] = m = count(p, alpha, n)
             # where m = 0 no p-value is at or below alpha/n, so none at 0
             null = np.arange(p.shape[1]) < nulls[:, None]
-            v = np.count_nonzero(null & (p <= (m * alpha / n)[:, None]),
-                                 axis=1)
-        fdp = np.where(m > 0, v / np.maximum(m, 1), 0.0)
-        v_n, r_n = v / n, m / n
-        terms = np.column_stack((fdp, fdp * fdp, v_n, v_n * v_n, v,
-                                 r_n, r_n * r_n, m))
-        # added to the running sum in replicate order, one row at a time
-        sums = np.add.accumulate(np.vstack((sums, terms)), axis=0)[-1]
-        hist += np.bincount(np.minimum((fdp * _HIST_BINS).astype(np.int64),
-                                       _HIST_BINS - 1),
-                            minlength=_HIST_BINS)
-        if keep:
-            kept_v[first - start:first - start + size] = v
-            kept_r[first - start:first - start + size] = m
-    return sums, hist, kept_v, kept_r
+            out[1] = np.count_nonzero(
+                null & (p <= (m * alpha / n)[:, None]), axis=1)
+    return mv
 
 
 def _se(sum_x: float, sum_x2: float, count: int) -> float:
@@ -217,28 +206,33 @@ def run(plan: SimulationPlan, keep_replicates: bool = False,
     The chunk layout depends only on the replicate count, so any worker
     count produces bit-identical output.
     """
-    reps = plan.replicates
+    reps, n = plan.replicates, plan.config.n
     starts = range(0, reps, _CHUNK)
-    parts = list(_pool_map(_simulate_chunk, [plan] * len(starts), starts,
-                           [min(s + _CHUNK, reps) for s in starts],
-                           [keep_replicates] * len(starts), workers=workers))
-
-    sums = np.zeros(8)
+    sums = np.zeros(8)  # fdp, fdp^2, v/n, (v/n)^2, v, r/n, (r/n)^2, r
     hist = np.zeros(_HIST_BINS, dtype=np.int64)
-    for part_sums, part_hist, _, _ in parts:
-        sums += part_sums
-        hist += part_hist
-    n = plan.config.n
+    kept = []
+    for mv in _pool_map(_simulate_chunk, [plan] * len(starts), starts,
+                        [min(s + _CHUNK, reps) for s in starts],
+                        workers=workers):
+        m, v = mv
+        fdp = np.where(m > 0, v / np.maximum(m, 1), 0.0)
+        v_n, r_n = v / n, m / n
+        terms = np.column_stack((fdp, fdp * fdp, v_n, v_n * v_n, v,
+                                 r_n, r_n * r_n, m))
+        # one replicate at a time, in replicate order, then chunk by chunk
+        sums += np.add.accumulate(terms, axis=0)[-1]
+        hist += np.bincount(np.minimum((fdp * _HIST_BINS).astype(np.int64),
+                                       _HIST_BINS - 1),
+                            minlength=_HIST_BINS)
+        if keep_replicates:
+            kept.append(mv)
     ses = {
         "fdr_hat": _se(sums[0], sums[1], reps),
         "eer_hat": _se(sums[2], sums[3], reps),
         "ene_hat": _se(sums[2], sums[3], reps) * n,
         "r_over_n_hat": _se(sums[5], sums[6], reps),
     }
-    kept_v = kept_r = None
-    if keep_replicates:
-        kept_v = np.concatenate([p[2] for p in parts])
-        kept_r = np.concatenate([p[3] for p in parts])
+    kept_r, kept_v = np.concatenate(kept, axis=1) if kept else (None, None)
     return SimulationSummary(
         fdr_hat=float(sums[0] / reps),
         eer_hat=float(sums[2] / reps),

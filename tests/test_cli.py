@@ -193,6 +193,20 @@ class TestSimulate:
         main(args + ["--out", str(b)])
         assert read(a) == read(b)
 
+    def test_one_replicate_writes_strict_json(self, tmp_path, capsys):
+        # below two replicates no standard error is defined: null, not NaN
+        out = tmp_path / "sim.json"
+        assert main(["simulate", "--model", "exponential", "--n", "20",
+                     "--reps", "1", "--seed", "3", "--out", str(out)]) == 0
+
+        def reject(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        payload = json.loads(read(out), parse_constant=reject)
+        assert payload["standard_errors"] == dict.fromkeys(
+            ("ene_hat", "eer_hat", "fdr_hat", "r_over_n_hat"))
+        assert payload["replicates"] == 1
+
     def test_n_required(self, capsys):
         assert main(["simulate", "--model", "exponential"]) == 1
 

@@ -118,6 +118,15 @@ class TestRun:
         monkeypatch.setenv("LSUFDR_WORKERS", "two")
         with pytest.raises(ValueError, match="LSUFDR_WORKERS"):
             montecarlo.worker_count()
+        for raw in ("0", "-2"):
+            monkeypatch.setenv("LSUFDR_WORKERS", raw)
+            with pytest.raises(ValueError, match="LSUFDR_WORKERS must be an"):
+                montecarlo.worker_count()
+
+    @pytest.mark.parametrize("workers", [0, -3, 2.5, True])
+    def test_workers_must_be_a_positive_integer(self, workers):
+        with pytest.raises(ValueError, match="workers must be an integer"):
+            run(EXPO_PLAN, workers=workers)
 
     def test_ene_consistent_with_eer(self):
         s = run(EXPO_PLAN, workers=1)
@@ -419,11 +428,12 @@ class TestTailOnlyEngine:
             assert below > cutoff >= above
 
 
-def reference_summary(plan):
-    """(m, v, sums, histogram) of `full_vector_counts`, summed one
-    replicate at a time in replicate order within each chunk of
-    `_CHUNK`, the chunk sums then added in order."""
-    m, v = full_vector_counts(plan)
+def reference_summary(plan, m=None, v=None):
+    """(m, v, sums, histogram) of `full_vector_counts` (or of the given
+    counts), summed one replicate at a time in replicate order within
+    each chunk of `_CHUNK`, the chunk sums then added in order."""
+    if m is None:
+        m, v = full_vector_counts(plan)
     n, chunk = plan.config.n, montecarlo._CHUNK
     sums = np.zeros(8)
     hist = np.zeros(montecarlo._HIST_BINS, dtype=np.int64)
@@ -519,6 +529,35 @@ class TestBlockKernel:
             plan = _plan(model, 300, 0.8, 0.2, 150, 49, conditional_z=z)
             s = run(plan, keep_replicates=True, workers=1)
             assert_matches_reference(s, plan, reference_summary(plan))
+
+    @pytest.mark.parametrize("name", ["candidate_lsu", "candidate_lsd",
+                                      "rows_three_chunks"])
+    def test_one_reduction_of_the_counts(self, name):
+        # the candidate route has no full-vector oracle in bits, so the
+        # reference sums the run's own counts; without kept counts the
+        # summary is the same on one and two workers
+        plan = {
+            "candidate_lsu": _plan(ModelSpec.normal(0.3),
+                                   montecarlo._BLOCK_ELEMS, 0.75, 0.05, 40,
+                                   51),
+            "candidate_lsd": _plan(ModelSpec.normal(0.3),
+                                   montecarlo._BLOCK_ELEMS, 0.75, 0.05, 40,
+                                   52, procedure="lsd"),
+            "rows_three_chunks": _plan(ModelSpec.exponential(), 20, 0.5,
+                                       0.2, 2 * montecarlo._CHUNK + 11, 53),
+        }[name]
+        s = run(plan, keep_replicates=True, workers=1)
+        assert s.r_counts.shape == s.v_counts.shape == (plan.replicates,)
+        assert 0 < s.r_counts.sum()
+        assert_matches_reference(
+            s, plan, reference_summary(plan, s.r_counts, s.v_counts))
+        for workers in (1, 2):
+            bare = run(plan, keep_replicates=False, workers=workers)
+            assert bare.r_counts is None and bare.v_counts is None
+            for field in ("fdr_hat", "eer_hat", "ene_hat", "r_over_n_hat",
+                          "standard_errors", "seed", "replicates"):
+                assert getattr(bare, field) == getattr(s, field)
+            assert np.array_equal(bare.fdp_histogram, s.fdp_histogram)
 
     def test_chunk_past_zero_on_two_workers(self):
         # a three-word seed, and a second chunk whose keys start at _CHUNK
