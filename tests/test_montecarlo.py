@@ -668,7 +668,9 @@ def seed_sequence_keys(seed, idx):
 
 
 class TestPinnedCounts:
-    """The per-replicate (v, r) of small seeded plans, pinned as digests.
+    """The per-replicate (v, r) of small seeded plans, pinned as digests:
+    row-route plans, candidate-route plans at the real cut and
+    candidate-route plans forced down to a small n, where guards fall back.
 
     The other engine tests compare the engine with references built
     from the same draws and kernels, which a change to either would
@@ -712,16 +714,77 @@ class TestPinnedCounts:
                                "d4368555ddb34fa21ece77b490f7a42d"),
     }
 
-    @pytest.mark.parametrize("name", sorted(PLANS))
-    def test_counts_digest(self, name):
-        model, n, zeta, alpha, reps, z, proc, digest = self.PLANS[name]
+    # the candidate route at its real cut, n = _BLOCK_ELEMS
+    CANDIDATE_PLANS = {
+        "normal_lsu": (ModelSpec.normal(0.3), 0.8, 0.1, 8, None, "lsu",
+                       "29f4905ed93ce27da6b21579cb0772bd"
+                       "e0df446a9f205f3c846800cedf9e82db"),
+        "normal_all_null_lsd": (ModelSpec.normal(0.3), 1.0, 0.1, 8, None,
+                                "lsd", "94225a1c9739b4f9d44a758f336ff083"
+                                       "5726372dfa8690ca29b4b275e0d2263d"),
+        "normal_conditional": (ModelSpec.normal(0.5), 0.9, 0.1, 8, -0.3,
+                               "lsu", "89d20cbf9db989cfc20361bd71473601"
+                                      "0358ca216949146625c47354d8b12f3a"),
+        "t_lsu": (ModelSpec.student_t(4.0), 0.8, 0.25, 4, None, "lsu",
+                  "e67d01066073b72a23aa654cc9f82527"
+                  "985d2e8fa768bbd3c2aaf8fe279c9915"),
+        "shifted_lsu": (ModelSpec.exponential(3.0), 0.6, 0.1, 8, None,
+                        "lsu", "aebdb8d4f07b21268d6f1ebf16079286"
+                               "7c016c87667d47c540a5659fd438f3bc"),
+        "shifted_lsd": (ModelSpec.exponential(2.0), 0.6, 0.1, 8, None,
+                        "lsd", "5fa4882714ab5589038a2a649bd600c3"
+                               "057beccd0192e902057507aa46a587a0"),
+    }
+
+    # the candidate route forced down to n = 300 with a negative margin,
+    # so that guards fall back and every null is drawn
+    FALLBACK_PLANS = {
+        "normal_lsu": (ModelSpec.normal(0.3), 0.8, 0.02, 150, None, "lsu",
+                       "914f6dcb16006d411e87dfb518cf0c05"
+                       "b7087f18f8f8aa9a031b73fa981d9708"),
+        "normal_lsd": (ModelSpec.normal(0.3), 0.8, 0.02, 150, 0.1, "lsd",
+                       "0322e60655e50622eeaf989eaa6f22f8"
+                       "945670cfee3e900871e625248ebe43c1"),
+        "t_lsu": (ModelSpec.student_t(5.0), 0.8, 0.02, 60, None, "lsu",
+                  "7c65668adf6308540d39370781c67684"
+                  "b2641795c55870fa57f7560e12c92ecd"),
+        "shifted_lsu": (ModelSpec.exponential(1.0), 0.8, 0.02, 150, None,
+                        "lsu", "dab877caab49b684d94ff4b4f805a16d"
+                               "a1e975ac0c126af7630ed46de3e38034"),
+        "shifted_lsd": (ModelSpec.exponential(1.0), 0.8, 0.02, 150, 0.1,
+                        "lsd", "27a8ba333d11374dc3fb2f064fcae5d8"
+                               "f31afcb4e68a925a74a94d78107dace3"),
+    }
+
+    @staticmethod
+    def digest(model, n, zeta, alpha, reps, z, proc):
         plan = SimulationPlan(model=model,
                               config=ExtremeConfig(n=n, zeta=zeta, seed=7),
                               alpha=alpha, replicates=reps, conditional_z=z,
                               procedure=proc)
         s = run(plan, keep_replicates=True, workers=1)
         counts = np.stack((s.v_counts, s.r_counts)).astype("<i8")
-        assert hashlib.sha256(counts.tobytes()).hexdigest() == digest
+        return hashlib.sha256(counts.tobytes()).hexdigest()
+
+    @pytest.mark.parametrize("name", sorted(PLANS))
+    def test_counts_digest(self, name):
+        model, n, zeta, alpha, reps, z, proc, digest = self.PLANS[name]
+        assert self.digest(model, n, zeta, alpha, reps, z, proc) == digest
+
+    @pytest.mark.parametrize("name", sorted(CANDIDATE_PLANS))
+    def test_candidate_route_digest(self, name):
+        model, zeta, alpha, reps, z, proc, digest = \
+            self.CANDIDATE_PLANS[name]
+        assert self.digest(model, montecarlo._BLOCK_ELEMS, zeta, alpha,
+                           reps, z, proc) == digest
+
+    @pytest.mark.parametrize("name", sorted(FALLBACK_PLANS))
+    def test_guard_fallback_digest(self, monkeypatch, name):
+        model, zeta, alpha, reps, z, proc, digest = \
+            self.FALLBACK_PLANS[name]
+        monkeypatch.setattr(models, "_U_MARGIN", -0.05)
+        monkeypatch.setattr(montecarlo, "_BLOCK_ELEMS", 300)
+        assert self.digest(model, 300, zeta, alpha, reps, z, proc) == digest
 
 
 class TestStudentTKernelsEndToEnd:
