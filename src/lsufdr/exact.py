@@ -156,15 +156,11 @@ def _linear_null_quantile(u: np.ndarray, gamma: float,
     head = gamma * t_star
     if head >= 1.0:
         return u / gamma
-    # the upper branch in place on one array, which the head branch then
-    # overwrites where u <= head
-    out = u - head
-    out *= 1.0 - t_star
-    out /= 1.0 - head
-    out += t_star
-    below = u <= head
-    np.divide(u, max(gamma, 1e-300), out=out, where=below)
-    return np.minimum(out, t_star, out=out, where=below)
+    # min(u, head) keeps the unused head branch finite at gamma = 0
+    return np.where(u <= head,
+                    np.minimum(np.minimum(u, head) / max(gamma, 1e-300),
+                               t_star),
+                    t_star + (u - head) * (1.0 - t_star) / (1.0 - head))
 
 
 def _uniform_cuts(crit: np.ndarray, gamma: float,

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun as sf
-from .stepup import PValueSample, _check_alpha, _check_count, _probed_counts
+from .stepup import PValueSample, _check_alpha, _check_count, \
+    _check_pvalues, _probed_counts
 
 __all__ = [
     "NORMAL",
@@ -539,25 +540,23 @@ def draw_disturbance(model: ModelSpec, rng: np.random.Generator) -> float:
     return _disturbance_quantile(model, rng.random())
 
 
-def _null_pvalues(model: ModelSpec, z, u: np.ndarray) -> np.ndarray:
-    """Null p-values of the uniforms u given z (a float, or one value
-    per element of u), decreasing in u."""
+def _null_pvalues(model: ModelSpec, z, u) -> np.ndarray:
+    """Null p-values of the uniforms u (a float or an array) given z (a
+    float, or one value per element of u), decreasing in u."""
     if model.family == NORMAL:
         x = np.asarray(sf.Phi_inv(u))
         y = math.sqrt(model.rho_bar) * x - math.sqrt(model.rho) * z
         p = np.asarray(sf.norm_sf(y))
     elif model.family == STUDENT_T:
         x = np.asarray(sf.Phi_inv(u))
-        p = sf.t_sf(x / z, model.nu)
+        p = np.asarray(sf.t_sf(x / z, model.nu))
     else:
         # 1 - W(w) for w = E - z, W the cdf of a difference of two
         # standard exponentials
         w = -np.log1p(-u) - z
         half = 0.5 * np.exp(-np.abs(w))
         p = np.where(w <= 0.0, 1.0 - half, half)
-    if p.size and not 0.0 <= p.min() <= p.max() <= 1.0:
-        raise ValueError("p-values must lie in [0, 1]")
-    return p
+    return _check_pvalues(p)
 
 
 def _uniform_count(model: ModelSpec, config: ExtremeConfig) -> int:
@@ -618,35 +617,25 @@ def _kept_pvalues(model: ModelSpec, z: np.ndarray, u: np.ndarray,
 
 def _candidate_uniforms(model: ModelSpec, count: int, z: float,
                         cutoff: float, rng: np.random.Generator, isf=None):
-    """(u, guard): the K of count null uniforms at disturbance z at or
-    above the threshold lo, largest first, and the largest one below lo
-    (None if K = count), drawing from rng only these.
+    """The uniforms that `_kept_pvalues` keeps of count null uniforms at
+    disturbance z, largest first, drawing from rng only these and a guard.
 
-    Given z, K is Binomial(count, 1 - lo), the K are i.i.d. uniform on
-    [lo, 1) and the guard is lo V^(1/(count - K)) for one more uniform
-    V, clipped as the uniforms are.  `_settled` draws the rest.
+    Given z, the K at or above the threshold lo number Binomial(count,
+    1 - lo) and are i.i.d. uniform on [lo, 1).  The guard, the largest
+    one below lo, is lo V^(1/(count - K)) for one more uniform V, clipped
+    as the uniforms are.  Only if its p-value is at or below the cutoff
+    are the other count - K - 1 drawn, uniform below it, and all kept.
     """
     lo = float(_threshold(model, cutoff, z, isf))
     k = int(rng.binomial(count, 1.0 - lo))
     u = np.minimum(lo + (1.0 - lo) * rng.random(k), 1.0 - _U_TINY)
-    guard = None if k == count \
-        else max(lo * rng.random() ** (1.0 / (count - k)), _U_TINY)
-    return np.sort(u)[::-1], guard
-
-
-def _settled(model: ModelSpec, z: float, u: np.ndarray, guard, count: int,
-             cutoff: float, rng: np.random.Generator, p_guard=None):
-    """The uniforms that `_kept_pvalues` keeps of `_candidate_uniforms`'
-    (u, guard), largest first: u alone, unless the guard's p-value (p_guard,
-    or else the kernel's) is at or below the cutoff; then u, the guard
-    and the other count - K - 1, drawn from rng uniform below it."""
-    if guard is None:
+    u = np.sort(u)[::-1]
+    if k == count:
         return u
-    if p_guard is None:
-        p_guard = _null_pvalues(model, z, np.array([guard]))[0]
-    if p_guard > cutoff:
+    guard = max(lo * rng.random() ** (1.0 / (count - k)), _U_TINY)
+    if _null_pvalues(model, z, guard) > cutoff:
         return u
-    rest = np.maximum(guard * rng.random(count - u.size - 1), _U_TINY)
+    rest = np.maximum(guard * rng.random(count - k - 1), _U_TINY)
     return np.concatenate((u, [guard], np.sort(rest)[::-1]))
 
 
@@ -656,46 +645,26 @@ def _candidate_counts(model: ModelSpec, config: ExtremeConfig, z: float,
     """(m, v) of the step-up ("lsu") or step-down ("lsd") procedure at
     level cutoff on one replicate at disturbance z: what `_sample_block`
     and a count on its row give in law, drawing from rng only the
-    uniforms that `_kept_pvalues` keeps, for the nulls at z, then for
-    shifted alternatives at z - false_theta.
+    uniforms that `_kept_pvalues` keeps (`_candidate_uniforms`), for the
+    nulls at z, then for shifted alternatives at z - false_theta.
 
-    p falls as u rises, so the j-th smallest null p-value is the kernel
-    at the j-th largest kept uniform, up to the kernel's rounding
-    (`_P_SLACK`), and the search of `stepup._probed_counts` maps only
+    Each guard settles as its uniforms are drawn, before the search.  p
+    falls as u rises, so the j-th smallest null p-value is the kernel at
+    the j-th largest kept uniform, up to the kernel's rounding
+    (`_P_SLACK`), and the one search of `stepup._probed_counts` maps only
     the uniforms at the ranks it probes.  The falses' p-values (zeros,
-    unless shifted) are held in full.  Where nothing is drawn after the
-    nulls, their guard rides along with the search's first kernel call;
-    if it passes, the search runs again on every null.
+    unless shifted) are held in full.
     """
-    u, guard = _candidate_uniforms(model, config.n0, z, cutoff, rng, isf)
+    u = _candidate_uniforms(model, config.n0, z, cutoff, rng, isf)
     if model.false_theta is None:
         falses = np.zeros(config.n1)
-    else:  # the falses are drawn once the nulls' guard has settled
-        u, guard = _settled(model, z, u, guard, config.n0, cutoff, rng), None
+    else:
         shifted = z - model.false_theta
-        w, top = _candidate_uniforms(model, config.n1, shifted, cutoff, rng,
-                                     isf)
-        w = _settled(model, shifted, w, top, config.n1, cutoff, rng)
+        w = _candidate_uniforms(model, config.n1, shifted, cutoff, rng, isf)
         falses = np.sort(_null_pvalues(model, shifted, w))
-    p_guard = []
-
-    def sorted_at(i):
-        if guard is None or p_guard:
-            return _null_pvalues(model, z, u[i])
-        p = _null_pvalues(model, z, np.append(u[i], guard))
-        p_guard.append(p[-1])
-        return p[:-1]
-
-    def search():
-        return _probed_counts(sorted_at, u.size, falses, cutoff, config.n,
-                              procedure == "lsd", _P_SLACK)
-
-    counts = search()
-    kept = _settled(model, z, u, guard, config.n0, cutoff, rng, *p_guard)
-    if kept.size > u.size:
-        u, guard = kept, None
-        counts = search()
-    return counts
+    return _probed_counts(lambda i: _null_pvalues(model, z, u[i]), u.size,
+                          falses, cutoff, config.n, procedure == "lsd",
+                          _P_SLACK)
 
 
 def _sample_block(model: ModelSpec, config: ExtremeConfig, z: np.ndarray,

@@ -90,6 +90,8 @@ def integrate(f: Callable[[float], float], a: float, b: float,
     b = float(b)
     if b < a:
         raise ValueError("integrate requires a <= b")
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
     if a == b:
         return 0.0, 0.0
 

@@ -26,9 +26,8 @@ class PValueSample:
 
     `n` is the number of hypotheses, by default the vector's length.  A
     larger n says that the other n - len(pvalues) p-values exceed alpha
-    and were left out, as the Monte Carlo engine does: the procedures at
-    level alpha reject the same hypotheses either way, and `n0`/`n1`
-    count the labels that are held.
+    and were left out: the procedures at level alpha reject the same
+    hypotheses either way, and `n0`/`n1` count the labels that are held.
     """
 
     pvalues: np.ndarray
@@ -45,8 +44,7 @@ class PValueSample:
             raise ValueError("n must be at least the number of p-values")
         if labels.shape != pv.shape:
             raise ValueError("is_true_null must match pvalues in length")
-        if pv.size and not 0.0 <= pv.min() <= pv.max() <= 1.0:
-            raise ValueError("p-values must lie in [0, 1]")
+        _check_pvalues(pv)
         object.__setattr__(self, "pvalues", pv)
         object.__setattr__(self, "is_true_null", labels)
         object.__setattr__(self, "n", n)
@@ -75,6 +73,13 @@ def _check_alpha(alpha: float) -> float:
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
     return alpha
+
+
+def _check_pvalues(p: np.ndarray) -> np.ndarray:
+    """p, once every value lies in [0, 1] (nan does not)."""
+    if p.size and not 0.0 <= p.min() <= p.max() <= 1.0:
+        raise ValueError("p-values must lie in [0, 1]")
+    return p
 
 
 def _check_count(value, name: str, low: int) -> int:
@@ -231,7 +236,7 @@ def lsd(sample: PValueSample, alpha: float) -> RejectionResult:
 
 def ecdf(pvalues: np.ndarray, t: float) -> float:
     """Empirical cdf of a p-value vector at t (right continuous)."""
-    pv = np.asarray(pvalues, dtype=np.float64)
+    pv = _check_pvalues(np.asarray(pvalues, dtype=np.float64))
     if pv.size == 0:
         raise ValueError("ecdf needs at least one p-value")
     if math.isnan(t):

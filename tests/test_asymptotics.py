@@ -571,6 +571,15 @@ class TestQuadratureFormulas:
         r = eer_fdr_normal(0.05, 0.5, 0.5, tol=1e-8)
         assert r.quadrature_error < 1e-8
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+    def test_bad_tolerance_is_a_usage_error(self, tol):
+        # not a QuadratureError after the evaluation budget is spent
+        for limit, args in ((eer_fdr_normal, (0.05, 0.5, 0.5)),
+                            (eer_fdr_normal, (0.05, 1.0, 0.5)),
+                            (eer_fdr_t, (0.05, 0.5, 5.0))):
+            with pytest.raises(ValueError, match="tol must be positive"):
+                limit(*args, tol=tol)
+
     def test_error_estimate_at_power_law_endpoint(self):
         # the weight rises like (u - u_lo)^0.54 from the lower end of
         # [1.295, 2.110]; one GK15 panel over it estimated 4.6e-9 for an

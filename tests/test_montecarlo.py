@@ -1098,7 +1098,7 @@ class TestCandidateSearch:
             plan = _plan(model, n, zeta, alpha, reps, seed + i,
                          conditional_z=cond, procedure=procedure)
             run(plan, workers=1)
-            assert len(calls) >= (i + 1) * reps  # twice if a guard passes
+            assert len(calls) == (i + 1) * reps  # one search a replicate
         assert [got for got, _, _ in calls] == [ref for _, ref, _ in calls]
         return calls
 
@@ -1118,8 +1118,8 @@ class TestCandidateSearch:
         assert 0 in sizes and max(sizes) > 0
 
     def test_guard_fallback(self, monkeypatch):
-        # a passing guard settles after the first search, which then runs
-        # again on every null
+        # a guard settles before the search: if it passes, the one
+        # search runs on every null
         monkeypatch.setattr(models, "_U_MARGIN", -0.05)
         for model, n, reps in ((ModelSpec.normal(0.3), 200, 200),
                                (ModelSpec.student_t(5.0), 120, 60),

@@ -39,6 +39,18 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(lambda x: 1.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+    def test_bad_tolerance_rejected_before_any_evaluation(self, tol):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return 1.0
+        for a, b in ((0.0, 1.0), (1.0, 1.0)):
+            with pytest.raises(ValueError, match="tol must be positive"):
+                integrate(f, a, b, tol=tol)
+        assert calls == []
+
     def test_error_estimate_honest(self):
         for tol in (1e-6, 1e-9):
             val, err = integrate(lambda x: math.sin(7 * x) ** 2, 0.0, 3.0,

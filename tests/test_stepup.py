@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -213,6 +215,11 @@ class TestEcdf:
     def test_nan_level_rejected(self):
         with pytest.raises(ValueError, match="nan"):
             ecdf(np.array([0.1, 0.4]), float("nan"))
+
+    @pytest.mark.parametrize("bad", [math.nan, -0.1, 2.0])
+    def test_bad_pvalues_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"p-values must lie in \[0, 1\]"):
+            ecdf(np.array([0.1, bad]), 0.5)
 
 
 class TestSampleValidation:
