@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -216,7 +214,7 @@ class TestEcdf:
         with pytest.raises(ValueError, match="nan"):
             ecdf(np.array([0.1, 0.4]), float("nan"))
 
-    @pytest.mark.parametrize("bad", [math.nan, -0.1, 2.0])
+    @pytest.mark.parametrize("bad", [np.nan, -0.1, 2.0])
     def test_bad_pvalues_rejected(self, bad):
         with pytest.raises(ValueError, match=r"p-values must lie in \[0, 1\]"):
             ecdf(np.array([0.1, bad]), 0.5)
